@@ -2,6 +2,7 @@
 //! over a shared network substrate, plus the single-packet active-message
 //! layer.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 
 use timego_cost::{CostHandle, Feature, Fine};
@@ -230,7 +231,7 @@ pub struct Machine {
     pub(crate) nodes: Vec<Node>,
     pub(crate) cfg: CmamConfig,
     pub(crate) streams: Vec<StreamState>,
-    pub(crate) next_call_id: u64,
+    pub(crate) next_call_id: Cell<u64>,
     /// Replies already computed per (callee, caller, call id), kept by
     /// the callee so a retransmitted request is answered from cache
     /// instead of re-running the handler (exactly-once execution under
@@ -289,7 +290,7 @@ impl Machine {
             nodes: node_vec,
             cfg,
             streams: Vec::new(),
-            next_call_id: 0,
+            next_call_id: Cell::new(0),
             rpc_replies: HashMap::new(),
             session_epochs: HashMap::new(),
             sessions: HashMap::new(),
@@ -347,9 +348,9 @@ impl Machine {
     }
 
     /// Allocate a fresh RPC correlation id.
-    pub(crate) fn alloc_call_id(&mut self) -> u64 {
-        let id = self.next_call_id;
-        self.next_call_id += 1;
+    pub(crate) fn alloc_call_id(&self) -> u64 {
+        let id = self.next_call_id.get();
+        self.next_call_id.set(id + 1);
         id
     }
 

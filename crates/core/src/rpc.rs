@@ -16,7 +16,7 @@ use timego_ni::Memory;
 
 use crate::am::{Am4Msg, PollOutcome};
 use crate::costs::{am4_recv, am4_send, recovery};
-use crate::engine::{Engine, OpOutcome};
+use crate::engine::{Op, OpOutcome};
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Tags};
 use crate::retry::{RecoveryPolicy, RetryPolicy};
@@ -83,14 +83,11 @@ impl Machine {
         tag: u8,
         args: [u32; 4],
     ) -> Result<[u32; 4], ProtocolError> {
-        let mut eng = Engine::new();
-        let op = eng.submit_rpc(self, src, dst, tag, args, None);
-        eng.run(self);
-        match eng.take_outcome(op).expect("op completed") {
-            Ok(OpOutcome::Rpc(words)) => Ok(words),
-            Err(e) => Err(e),
-            Ok(_) => unreachable!("rpc op yields reply words"),
-        }
+        let s = Op::rpc(src, dst, tag, args, None);
+        let (OpOutcome::Rpc(words), _) = self.run_one(s)? else {
+            unreachable!("rpc op yields reply words")
+        };
+        Ok(words)
     }
 
     /// Perform a blocking RPC with bounded retry: like
@@ -121,14 +118,11 @@ impl Machine {
         args: [u32; 4],
         policy: &RetryPolicy,
     ) -> Result<[u32; 4], ProtocolError> {
-        let mut eng = Engine::new();
-        let op = eng.submit_rpc(self, src, dst, tag, args, Some(policy));
-        eng.run(self);
-        match eng.take_outcome(op).expect("op completed") {
-            Ok(OpOutcome::Rpc(words)) => Ok(words),
-            Err(e) => Err(e),
-            Ok(_) => unreachable!("rpc op yields reply words"),
-        }
+        let s = Op::rpc(src, dst, tag, args, Some(policy));
+        let (OpOutcome::Rpc(words), _) = self.run_one(s)? else {
+            unreachable!("rpc op yields reply words")
+        };
+        Ok(words)
     }
 
     /// [`Machine::rpc_call_retrying`] hardened against node
@@ -167,15 +161,11 @@ impl Machine {
         policy: &RetryPolicy,
         recovery: &RecoveryPolicy,
     ) -> Result<([u32; 4], u32), ProtocolError> {
-        let mut eng = Engine::new();
-        let op = eng.submit_rpc_recovering(self, src, dst, tag, args, Some(policy), recovery);
-        eng.run(self);
-        let re_executions = eng.recovery_executions(op);
-        match eng.take_outcome(op).expect("op completed") {
-            Ok(OpOutcome::Rpc(words)) => Ok((words, re_executions)),
-            Err(e) => Err(e),
-            Ok(_) => unreachable!("rpc op yields reply words"),
-        }
+        let s = Op::rpc(src, dst, tag, args, Some(policy)).recovering(recovery);
+        let (OpOutcome::Rpc(words), re_executions) = self.run_one(s)? else {
+            unreachable!("rpc op yields reply words")
+        };
+        Ok((words, re_executions))
     }
 
     /// Poll `node` once in RPC terms: serve one pending request (run

@@ -26,7 +26,7 @@ use timego_cost::{Feature, Fine};
 use timego_netsim::NodeId;
 
 use crate::costs::{ctl_send, stream_dst, stream_src};
-use crate::engine::{Engine, OpOutcome};
+use crate::engine::{Op, OpOutcome};
 use crate::retry::RecoveryPolicy;
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Tags};
@@ -172,14 +172,10 @@ impl Machine {
     ///
     /// Panics if `id` is stale.
     pub fn stream_send(&mut self, id: StreamId, data: &[u32]) -> Result<StreamOutcome, ProtocolError> {
-        let mut eng = Engine::new();
-        let op = eng.submit_stream_send(self, id, data)?;
-        eng.run(self);
-        match eng.take_outcome(op).expect("op completed") {
-            Ok(OpOutcome::Stream(out)) => Ok(out),
-            Err(e) => Err(e),
-            Ok(_) => unreachable!("stream op yields a stream outcome"),
-        }
+        let (OpOutcome::Stream(out), _) = self.run_one(Op::stream(id, data))? else {
+            unreachable!("stream op yields a stream outcome")
+        };
+        Ok(out)
     }
 
     /// [`Machine::stream_send`] hardened against node crash-restarts:
@@ -211,15 +207,11 @@ impl Machine {
         data: &[u32],
         recovery: &RecoveryPolicy,
     ) -> Result<(StreamOutcome, u32), ProtocolError> {
-        let mut eng = Engine::new();
-        let op = eng.submit_stream_send_recovering(self, id, data, recovery)?;
-        eng.run(self);
-        let re_executions = eng.recovery_executions(op);
-        match eng.take_outcome(op).expect("op completed") {
-            Ok(OpOutcome::Stream(out)) => Ok((out, re_executions)),
-            Err(e) => Err(e),
-            Ok(_) => unreachable!("stream op yields a stream outcome"),
-        }
+        let s = Op::stream(id, data).recovering(recovery);
+        let (OpOutcome::Stream(out), re_executions) = self.run_one(s)? else {
+            unreachable!("stream op yields a stream outcome")
+        };
+        Ok((out, re_executions))
     }
 
     /// Immutable view of a stream's protocol state.

@@ -21,7 +21,7 @@ use timego_netsim::NodeId;
 use timego_ni::Addr;
 
 use crate::costs::{segment, xfer_order, xfer_recv, xfer_send};
-use crate::engine::{Engine, OpOutcome};
+use crate::engine::{Op, OpOutcome};
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Node, Tags};
 
@@ -91,14 +91,11 @@ impl Machine {
         data: &[u32],
         engine: PayloadEngine,
     ) -> Result<XferOutcome, ProtocolError> {
-        let mut eng = Engine::new();
-        let op = eng.submit_xfer_with(self, src, dst, data, engine)?;
-        eng.run(self);
-        match eng.take_outcome(op).expect("op completed") {
-            Ok(OpOutcome::Xfer(out)) => Ok(out),
-            Err(e) => Err(e),
-            Ok(_) => unreachable!("xfer op yields a transfer outcome"),
-        }
+        let s = Op::xfer_with(src, dst, data, engine);
+        let (OpOutcome::Xfer(out), _) = self.run_one(s)? else {
+            unreachable!("xfer op yields a transfer outcome")
+        };
+        Ok(out)
     }
 
     /// Steps 1–3 of the protocol: the sender requests a communication

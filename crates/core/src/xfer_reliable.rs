@@ -43,7 +43,7 @@ use timego_cost::{Feature, Fine};
 use timego_netsim::NodeId;
 
 use crate::costs::{recovery, xfer_order, xfer_recv};
-use crate::engine::{Engine, OpOutcome};
+use crate::engine::{Op, OpOutcome};
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Tags};
 use crate::retry::{RecoveryPolicy, RetryPolicy};
@@ -98,14 +98,11 @@ impl Machine {
         data: &[u32],
         policy: &RetryPolicy,
     ) -> Result<ReliableOutcome, ProtocolError> {
-        let mut eng = Engine::new();
-        let op = eng.submit_xfer_reliable(self, src, dst, data, policy)?;
-        eng.run(self);
-        match eng.take_outcome(op).expect("op completed") {
-            Ok(OpOutcome::Reliable(out)) => Ok(out),
-            Err(e) => Err(e),
-            Ok(_) => unreachable!("reliable op yields a reliable outcome"),
-        }
+        let s = Op::reliable(src, dst, data, policy);
+        let (OpOutcome::Reliable(out), _) = self.run_one(s)? else {
+            unreachable!("reliable op yields a reliable outcome")
+        };
+        Ok(out)
     }
 
     /// [`Machine::xfer_reliable`] hardened against node crash-restarts:
@@ -150,15 +147,11 @@ impl Machine {
             max_executions: policy.max_attempts,
             backoff: policy.clone(),
         };
-        let mut eng = Engine::new();
-        let op = eng.submit_xfer_reliable_recovering(self, src, dst, data, policy, &recovery)?;
-        eng.run(self);
-        let re_executions = eng.recovery_executions(op);
-        match eng.take_outcome(op).expect("op completed") {
-            Ok(OpOutcome::Reliable(out)) => Ok((out, re_executions)),
-            Err(e) => Err(e),
-            Ok(_) => unreachable!("reliable op yields a reliable outcome"),
-        }
+        let s = Op::reliable(src, dst, data, policy).recovering(&recovery);
+        let (OpOutcome::Reliable(out), re_executions) = self.run_one(s)? else {
+            unreachable!("reliable op yields a reliable outcome")
+        };
+        Ok((out, re_executions))
     }
 
     /// Receive one data packet at the receiver, tolerating faults:

@@ -13,8 +13,15 @@
 //! * **Held time**: `completion_times()` anchors at submission and so
 //!   *includes* time held behind predecessors; `hold_times()` exposes
 //!   the held span for callers that want pure execution latency.
+//! * **Modifier matrix**: each family's submission rejection fires
+//!   identically under every combination of `.after`, `.recovering`,
+//!   `.deadline` and `.class`, and a deadline on an op that settles at
+//!   submission never fires.
 
-use timego_am::{CmamConfig, Engine, EngineEvent, Machine, OpId, OpOutcome, ProtocolError};
+use timego_am::{
+    CmamConfig, Engine, EngineEvent, Machine, Op, OpId, OpOutcome, ProtocolError, RecoveryPolicy,
+    RetryPolicy, SchedMode, StreamConfig, Submit, Tags,
+};
 use timego_netsim::{DeliveryScript, FaultConfig, NodeId, ScriptedNetwork};
 use timego_ni::share;
 use timego_workloads::scenarios;
@@ -50,9 +57,9 @@ fn diamond_dag_completes_in_topological_order() {
     let data: Vec<u32> = (0..32).collect();
     // Diamond: a → {b, c} → d, on four distinct node pairs.
     let a = eng.submit_xfer(&m, n(0), n(1), &data).unwrap();
-    let b = eng.submit_xfer_after(&m, n(1), n(2), &data, &[a]).unwrap();
-    let c = eng.submit_xfer_after(&m, n(1), n(3), &data, &[a]).unwrap();
-    let d = eng.submit_xfer_after(&m, n(2), n(3), &data, &[b, c]).unwrap();
+    let b = eng.submit(&m, Op::xfer(n(1), n(2), &data).after(&[a])).unwrap();
+    let c = eng.submit(&m, Op::xfer(n(1), n(3), &data).after(&[a])).unwrap();
+    let d = eng.submit(&m, Op::xfer(n(2), n(3), &data).after(&[b, c])).unwrap();
     eng.run(&mut m);
     for id in [a, b, c, d] {
         assert!(eng.take_outcome(id).unwrap().is_ok(), "op {} failed", id.raw());
@@ -90,8 +97,8 @@ fn failing_predecessor_fails_transitive_dependents() {
     );
     let mut eng = Engine::new();
     let a = eng.submit_xfer(&m, n(0), n(1), &[1, 2, 3]).unwrap();
-    let b = eng.submit_xfer_after(&m, n(1), n(2), &[1, 2, 3], &[a]).unwrap();
-    let c = eng.submit_xfer_after(&m, n(2), n(3), &[1, 2, 3], &[b]).unwrap();
+    let b = eng.submit(&m, Op::xfer(n(1), n(2), &[1, 2, 3]).after(&[a])).unwrap();
+    let c = eng.submit(&m, Op::xfer(n(2), n(3), &[1, 2, 3]).after(&[b])).unwrap();
     eng.run(&mut m);
 
     // The root dies on its own timeout — or, if the per-op watchdog
@@ -133,7 +140,7 @@ fn submitting_after_settled_predecessors_resolves_immediately() {
     assert!(eng.take_outcome(ok).unwrap().is_ok());
 
     // After a *successful* predecessor: released immediately, runs.
-    let after_ok = eng.submit_xfer_after(&m, n(1), n(2), &[1], &[ok]).unwrap();
+    let after_ok = eng.submit(&m, Op::xfer(n(1), n(2), &[1]).after(&[ok])).unwrap();
     eng.run(&mut m);
     assert!(eng.take_outcome(after_ok).unwrap().is_ok());
 
@@ -150,7 +157,7 @@ fn submitting_after_settled_predecessors_resolves_immediately() {
     assert!(feng.take_outcome(doomed).unwrap().is_err());
     // After a *failed* predecessor: fails at submission, no engine run
     // needed, outcome available at once.
-    let after_err = feng.submit_xfer_after(&fm, n(1), n(2), &[1], &[doomed]).unwrap();
+    let after_err = feng.submit(&fm, Op::xfer(n(1), n(2), &[1]).after(&[doomed])).unwrap();
     match feng.take_outcome(after_err).unwrap() {
         Err(ProtocolError::DependencyFailed { failed, .. }) => assert_eq!(failed, doomed),
         other => panic!("late dependent should fail at submission, got {other:?}"),
@@ -171,7 +178,7 @@ fn dependency_cycles_are_rejected_at_submission() {
     assert_eq!(forward.raw(), 1);
 
     // This engine has issued no ids, so raw id 1 is a forward edge.
-    match eng.submit_xfer_after(&m, n(0), n(1), &[1], &[forward]) {
+    match eng.submit(&m, Op::xfer(n(0), n(1), &[1]).after(&[forward])) {
         Err(ProtocolError::BadTransfer(msg)) => {
             assert!(msg.contains("cycle"), "{msg}");
         }
@@ -191,7 +198,7 @@ fn completion_times_include_held_span_and_hold_times_expose_it() {
     let mut eng = Engine::new();
     let data: Vec<u32> = (0..64).collect();
     let a = eng.submit_xfer(&m, n(0), n(1), &data).unwrap();
-    let b = eng.submit_xfer_after(&m, n(2), n(3), &data, &[a]).unwrap();
+    let b = eng.submit(&m, Op::xfer(n(2), n(3), &data).after(&[a])).unwrap();
     eng.run(&mut m);
     assert!(eng.take_outcome(a).unwrap().is_ok());
     assert!(eng.take_outcome(b).unwrap().is_ok());
@@ -218,7 +225,7 @@ fn am4_op_delivers_words_at_table1_cost() {
     m.reset_costs();
     let mut eng = Engine::new();
     let tag = timego_am::Tags::USER_BASE + 3;
-    let id = eng.submit_am4(&m, n(0), n(1), tag, [4, 5, 6, 7]).unwrap();
+    let id = eng.submit(&m, Op::am4(n(0), n(1), tag, [4, 5, 6, 7])).unwrap();
     eng.run(&mut m);
     assert_eq!(eng.take_outcome(id).unwrap(), Ok(OpOutcome::Am4([4, 5, 6, 7])));
     // One Table 1 round and nothing else: 20-instruction send plus
@@ -233,8 +240,8 @@ fn every_submitted_op_is_released_exactly_once() {
     let mut m = instant_machine(6);
     let mut eng = Engine::new();
     let a = eng.submit_xfer(&m, n(0), n(1), &[1, 2]).unwrap();
-    let _b = eng.submit_am4(&m, n(2), n(3), timego_am::Tags::USER_BASE + 1, [9; 4]).unwrap();
-    let _c = eng.submit_xfer_after(&m, n(4), n(5), &[3], &[a]).unwrap();
+    let _b = eng.submit(&m, Op::am4(n(2), n(3), timego_am::Tags::USER_BASE + 1, [9; 4])).unwrap();
+    let _c = eng.submit(&m, Op::xfer(n(4), n(5), &[3]).after(&[a])).unwrap();
     eng.run(&mut m);
     let mut submitted = 0;
     let mut released = 0;
@@ -247,4 +254,117 @@ fn every_submitted_op_is_released_exactly_once() {
     }
     assert_eq!(submitted, 3);
     assert_eq!(released, 3, "Released is recorded uniformly, deps or not");
+}
+
+/// Every subset of the four submission modifiers applied to `base`.
+fn with_modifiers(base: &Submit, after: OpId, recovery: &RecoveryPolicy) -> Vec<(String, Submit)> {
+    (0..16u32)
+        .map(|mask| {
+            let mut s = base.clone();
+            let mut name = String::from("plain");
+            if mask & 1 != 0 {
+                s = s.after(&[after]);
+                name += "+after";
+            }
+            if mask & 2 != 0 {
+                s = s.recovering(recovery);
+                name += "+recovering";
+            }
+            if mask & 4 != 0 {
+                s = s.deadline(1_000);
+                name += "+deadline";
+            }
+            if mask & 8 != 0 {
+                s = s.class(7);
+                name += "+class";
+            }
+            (name, s)
+        })
+        .collect()
+}
+
+/// Each family's rejection fires identically under every combination
+/// of `.after`, `.recovering`, `.deadline` and `.class`, and a rejected
+/// submission hands out no id and leaves no trace.
+#[test]
+fn family_rejections_fire_identically_under_every_modifier_combination() {
+    let mut m = instant_machine(4);
+    let mut eng = Engine::new();
+    let pred = eng.submit_xfer(&m, n(0), n(1), &[1]).unwrap();
+    let trace_len = eng.trace().len();
+    let sid = m.open_stream(n(2), n(3), StreamConfig::default());
+    let oversized = vec![0u32; 1 << 20];
+    let policy = RetryPolicy::default();
+    let recovery = RecoveryPolicy::default();
+    let reserved = Tags::USER_BASE - 1;
+    let cases = [
+        ("empty xfer", Op::xfer(n(0), n(1), &[])),
+        ("oversized reliable", Op::reliable(n(0), n(1), &oversized, &policy)),
+        ("empty stream", Op::stream(sid, &[])),
+        ("reserved am4 tag", Op::am4(n(0), n(1), reserved, [1; 4])),
+    ];
+    for (what, base) in &cases {
+        let plain = match eng.submit(&m, base.clone()) {
+            Err(ProtocolError::BadTransfer(msg)) => msg,
+            other => panic!("{what}: expected a rejection, got {other:?}"),
+        };
+        for (mods, s) in with_modifiers(base, pred, &recovery) {
+            match eng.submit(&m, s) {
+                Err(ProtocolError::BadTransfer(msg)) => {
+                    assert_eq!(msg, plain, "{what} {mods}: rejection must not depend on modifiers");
+                }
+                other => panic!("{what} {mods}: expected a rejection, got {other:?}"),
+            }
+        }
+    }
+    assert_eq!(eng.trace().len(), trace_len, "rejections must leave no trace");
+    assert_eq!(eng.unfinished(), 1, "only the predecessor is in flight");
+    let next = eng.submit_xfer(&m, n(2), n(3), &[2]).unwrap();
+    assert_eq!(next.raw(), pred.raw() + 1, "rejections must not consume ids");
+    eng.run(&mut m);
+    assert!(eng.take_outcome(pred).unwrap().is_ok());
+}
+
+/// A deadline on a submission whose predecessor already failed never
+/// arms: the op settles `DependencyFailed` at submission and no later
+/// `DeadlineExceeded` (or any second completion) follows.
+#[test]
+fn deadline_on_a_dependent_of_a_failed_op_never_fires() {
+    for mode in [SchedMode::EventDriven, SchedMode::ReferenceRoundRobin] {
+        deadline_on_failed_dependent(mode);
+    }
+}
+
+fn deadline_on_failed_dependent(mode: SchedMode) {
+    let fault = FaultConfig { drop_prob: 1.0, ..FaultConfig::default() };
+    let mut m = Machine::new(
+        share(scenarios::cm5_chaos(4, fault, 5)),
+        4,
+        CmamConfig { max_wait_cycles: 200, ..CmamConfig::default() },
+    );
+    let mut eng = Engine::with_mode(mode);
+    let doomed = eng.submit_xfer(&m, n(0), n(1), &[1]).unwrap();
+    eng.run(&mut m);
+    assert!(eng.take_outcome(doomed).unwrap().is_err());
+
+    let late = eng
+        .submit(&m, Op::xfer(n(1), n(2), &[1]).after(&[doomed]).deadline(5).class(3))
+        .unwrap();
+    match eng.take_outcome(late).unwrap() {
+        Err(ProtocolError::DependencyFailed { failed, .. }) => assert_eq!(failed, doomed),
+        other => panic!("{mode:?}: late dependent should fail at submission, got {other:?}"),
+    }
+    assert_eq!(eng.class_of(late), Some(3), "the class tag lands even on an op settled at once");
+    // Run well past the would-be deadline.
+    for _ in 0..50 {
+        eng.pump(&mut m);
+    }
+    eng.run(&mut m);
+    assert_eq!(eng.take_outcome(late), None, "no second outcome may be recorded");
+    let completions = eng
+        .trace()
+        .iter()
+        .filter(|e| matches!(e.event, EngineEvent::Completed(id, _) if id == late))
+        .count();
+    assert_eq!(completions, 1, "{mode:?}: the op settles exactly once");
 }

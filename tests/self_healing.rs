@@ -26,7 +26,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use timego_am::{
-    CmamConfig, Engine, EngineEvent, Machine, OpOutcome, ProtocolError, RecoveryPolicy,
+    CmamConfig, Engine, EngineEvent, Machine, Op, OpOutcome, ProtocolError, RecoveryPolicy,
     RetryPolicy, StreamConfig, Tags,
 };
 use timego_cost::Feature;
@@ -95,6 +95,37 @@ fn fault_tol(m: &Machine, node: NodeId) -> u64 {
 // Engine-level recovery: the ROADMAP remnant, closed.
 // ---------------------------------------------------------------------
 
+/// A recovering submission refused for a zero-execution policy panics
+/// before the engine takes it: no id handed out, no trace entry, and
+/// nothing left for the next `run` to execute — for every family.
+#[test]
+fn refused_recovering_submission_leaves_no_live_op() {
+    let mut m = machine("switched", &FaultConfig::default(), 1);
+    m.register_rpc_handler(n(1), 40, |_, msg| msg.words);
+    let sid = m.open_stream(n(0), n(2), StreamConfig::default());
+    let data = payloads::mixed(16, 1);
+    let policy = RetryPolicy::default();
+    let no_executions = RecoveryPolicy { max_executions: 0, ..RecoveryPolicy::default() };
+    let mut eng = Engine::new();
+    for s in [
+        Op::reliable(n(2), n(9), &data, &policy),
+        Op::stream(sid, &data),
+        Op::rpc(n(3), n(1), 40, [1, 2, 3, 4], Some(&policy)),
+        Op::am4(n(6), n(7), Tags::USER_BASE, [5; 4]),
+    ] {
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            eng.submit(&m, s.recovering(&no_executions))
+        }));
+        assert!(refused.is_err(), "a zero-execution recovery policy must be refused");
+        assert_eq!(eng.unfinished(), 0, "a refused submission must not leave a live op");
+        assert!(eng.trace().is_empty(), "a refused submission must leave no trace");
+    }
+    let id = eng.submit(&m, Op::reliable(n(2), n(9), &data, &policy)).unwrap();
+    assert_eq!(id.raw(), 0, "refused submissions consume no ids");
+    eng.run(&mut m);
+    assert!(matches!(eng.take_outcome(id), Some(Ok(OpOutcome::Reliable(_)))));
+}
+
 /// A `SessionReset` is recovered *inside* the engine: one submission,
 /// no caller-side loop. The trace shows the `Recovering` parking event,
 /// delivery is exactly-once and byte-exact, and the re-establishment
@@ -108,13 +139,10 @@ fn session_reset_recovers_inside_the_engine() {
         m.reset_costs();
         let mut eng = Engine::new();
         let op = eng
-            .submit_xfer_reliable_recovering(
+            .submit(
                 &m,
-                n(2),
-                n(9),
-                &data,
-                &RetryPolicy::default(),
-                &RecoveryPolicy::default(),
+                Op::reliable(n(2), n(9), &data, &RetryPolicy::default())
+                    .recovering(&RecoveryPolicy::default()),
             )
             .unwrap();
         eng.run(&mut m);
@@ -156,17 +184,13 @@ fn mid_dag_predecessor_recovers_and_releases_dependents() {
         let mut m = machine("switched", &crash(n(9), 50, 3000), seed);
         let mut eng = Engine::new();
         let a = eng
-            .submit_xfer_reliable_recovering(
+            .submit(
                 &m,
-                n(2),
-                n(9),
-                &data_a,
-                &policy,
-                &RecoveryPolicy::default(),
+                Op::reliable(n(2), n(9), &data_a, &policy).recovering(&RecoveryPolicy::default()),
             )
             .unwrap();
         let b = eng
-            .submit_xfer_reliable_after(&m, n(9), n(12), &data_b, &policy, &[a])
+            .submit(&m, Op::reliable(n(9), n(12), &data_b, &policy).after(&[a]))
             .unwrap();
         eng.run(&mut m);
         match eng.take_outcome(a).unwrap() {
@@ -489,20 +513,16 @@ fn quiesce_settles_parked_and_held_ops_with_uniform_events() {
     let mut m = machine("switched", &fault, 3);
     let mut eng = Engine::new();
     let parked = eng
-        .submit_xfer_reliable_recovering(
+        .submit(
             &m,
-            n(2),
-            n(9),
-            &data,
-            &policy,
-            &RecoveryPolicy::default(),
+            Op::reliable(n(2), n(9), &data, &policy).recovering(&RecoveryPolicy::default()),
         )
         .unwrap();
     let held = eng
-        .submit_xfer_reliable_after(&m, n(9), n(12), &data, &policy, &[parked])
+        .submit(&m, Op::reliable(n(9), n(12), &data, &policy).after(&[parked]))
         .unwrap();
     let patient = RetryPolicy { max_attempts: 4, base_wait: 512, ..RetryPolicy::default() };
-    let busy = eng.submit_xfer_reliable(&m, n(3), n(14), &data, &patient).unwrap();
+    let busy = eng.submit(&m, Op::reliable(n(3), n(14), &data, &patient)).unwrap();
     // Pump until the crash fells the first execution and the engine
     // parks the op for its backoff window.
     let mut guard = 0;
