@@ -35,11 +35,8 @@ impl SimRng {
         let mut x = seed;
         let mut s = [0u64; 4];
         for slot in &mut s {
+            *slot = splitmix64(x);
             x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            *slot = z ^ (z >> 31);
         }
         SimRng { s }
     }
@@ -200,5 +197,15 @@ mod tests {
     fn splitmix_is_stateless_and_mixing() {
         assert_eq!(splitmix64(1), splitmix64(1));
         assert_ne!(splitmix64(1), splitmix64(2));
+    }
+
+    #[test]
+    fn splitmix_is_a_bijection_mixer() {
+        // Spot-check: distinct inputs stay distinct, zero doesn't fix.
+        assert_ne!(splitmix64(0), 0);
+        let mut seen = std::collections::HashSet::new();
+        for k in 0..1000u64 {
+            assert!(seen.insert(splitmix64(k)), "collision at {k}");
+        }
     }
 }

@@ -70,6 +70,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use timego_am::{CmamConfig, Engine, Machine, Op, OpId, RecoveryPolicy, RetryPolicy, Tags};
 use timego_cost::{CostVector, Feature, Fine};
+use timego_netsim::rng::splitmix64;
 use timego_netsim::{FaultConfig, LatencyStats, NodeId, ShardedNetwork, SimRng};
 
 pub use crate::apps::service::{
@@ -77,17 +78,6 @@ pub use crate::apps::service::{
 };
 use crate::apps::service::cost;
 use crate::scenarios;
-
-/// SplitMix64 — the stateless mixer used for client keys and the
-/// consistent-hash ring (same finalizer family as the netsim RNG, but
-/// usable as a pure function of the key).
-#[must_use]
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Load-balancing policy of the gateway tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1555,16 +1545,6 @@ mod tests {
         assert!(!b.is_ejected(pool[2]), "add_server reinstates an ejected member");
         assert_eq!(b.servers().iter().filter(|&&s| s == pool[2]).count(), 1);
         assert_eq!(b.ring.iter().filter(|&&(_, s)| s == pool[2]).count(), 32);
-    }
-
-    #[test]
-    fn splitmix_is_a_bijection_mixer() {
-        // Spot-check: distinct inputs stay distinct, zero doesn't fix.
-        assert_ne!(splitmix64(0), 0);
-        let mut seen = std::collections::HashSet::new();
-        for k in 0..1000u64 {
-            assert!(seen.insert(splitmix64(k)), "collision at {k}");
-        }
     }
 
     #[test]
