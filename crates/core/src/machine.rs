@@ -157,6 +157,27 @@ impl Node {
         self.recv_ctl().expect("gated receive")
     }
 
+    /// [`send_ctl`](Node::send_ctl) with its cost attributed to
+    /// `feature`.
+    pub(crate) fn send_ctl_as(
+        &mut self,
+        feature: Feature,
+        dst: NodeId,
+        tag: u8,
+        header: u32,
+        words: [u32; 4],
+    ) -> bool {
+        self.cpu.clone().with_feature(feature, |_| self.send_ctl(dst, tag, header, words))
+    }
+
+    /// [`recv_ctl_now`](Node::recv_ctl_now) with its cost attributed to
+    /// `feature`: the packet's tag, header and payload words.
+    pub(crate) fn recv_ctl_now_as(&mut self, feature: Feature) -> (u8, u32, [u32; 4]) {
+        let cpu = self.cpu.clone();
+        let (_, tag, header, words) = cpu.with_feature(feature, |_| self.recv_ctl_now());
+        (tag, header, words)
+    }
+
     /// Temporarily remove a user handler for dispatch (the handler gets
     /// `&mut Memory`, which aliases `self`, so it cannot stay in place).
     pub(crate) fn handlers_take(&mut self, tag: u8) -> Option<Handler> {
