@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use timego_am::{
     measure_hl_stream, measure_hl_xfer, measure_single_packet, measure_stream, measure_xfer,
-    CmamConfig, Machine, RetryPolicy, StreamConfig,
+    CmamConfig, Machine, RecoveryPolicy, StreamConfig,
 };
 use timego_bench::results::BenchResults;
 use timego_netsim::{FaultConfig, Network, NodeId, Packet};
@@ -176,7 +176,8 @@ fn main() {
         let fault = FaultConfig { drop_prob: 0.05, ..FaultConfig::default() };
         let mut m =
             Machine::new(share(scenarios::cm5_chaos(4, fault, 31)), 4, CmamConfig::default());
-        let out = m.xfer_reliable(n(0), n(1), &data, &RetryPolicy::default()).expect("recovers");
+        let out =
+            m.xfer_reliable(n(0), n(1), &data, &RecoveryPolicy::retransmit()).expect("recovers");
         out.data_retransmits
     });
     h.bench("recovery/rpc_retrying_5pct_drop", 10, || {
@@ -187,7 +188,7 @@ fn main() {
         let mut acc = 0u32;
         for v in 0..16u32 {
             acc += m
-                .rpc_call_retrying(n(0), n(1), 40, [v, 0, 0, 0], &RetryPolicy::default())
+                .rpc_call(n(0), n(1), 40, [v, 0, 0, 0], Some(&RecoveryPolicy::retransmit()))
                 .expect("recovers")[0];
         }
         acc
@@ -212,7 +213,7 @@ fn main() {
         h.bench("apps/allreduce_8n", 10, || {
             let mut m =
                 Machine::new(share(scenarios::table_in_order(8)), 8, CmamConfig::default());
-            collectives::allreduce_sum(&mut m, &inputs).expect("completes")
+            collectives::allreduce_sum(&mut m, &inputs, None).expect("completes")
         });
     }
 

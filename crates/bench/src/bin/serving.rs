@@ -42,7 +42,7 @@
 
 use std::time::Instant;
 
-use timego_am::{RecoveryPolicy, RetryPolicy};
+use timego_am::RecoveryPolicy;
 use timego_bench::results::BenchResults;
 use timego_cost::Feature;
 use timego_netsim::{CrashWindow, FaultConfig, NodeId};
@@ -334,7 +334,7 @@ fn failover_class(s: &FailoverSized) -> QosClass {
         work: 4,
         deadline: None,
         recovery: Some(RecoveryPolicy::default()),
-        retry: RetryPolicy::default(),
+        retry: RecoveryPolicy::retransmit(),
         hedge: true,
         sheddable: true,
         retry_budget: None,

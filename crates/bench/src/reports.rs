@@ -4,14 +4,13 @@ use std::fmt::Write as _;
 
 use timego_am::{
     measure_hl_stream, measure_hl_xfer, measure_single_packet, measure_stream, measure_xfer,
-    CmamConfig, Machine, StreamConfig,
+    CmamConfig, Machine, Op, OpOutcome, RecoveryPolicy, StreamConfig,
 };
 use timego_cost::analytic::{self, IndefiniteOpts, MsgShape, ProtocolCost};
 use timego_cost::cycles::CycleModel;
 use timego_cost::{table, Endpoint, Feature};
 use timego_netsim::{CrashWindow, FaultConfig, Network, NodeId, Packet};
 use timego_ni::share;
-use timego_am::{RecoveryPolicy, RetryPolicy};
 use timego_workloads::apps::collectives;
 use timego_workloads::{concurrent, patterns::Pattern, payloads, scenarios, sweeps};
 
@@ -1025,7 +1024,7 @@ fn total_instr(m: &Machine, nodes: usize) -> u64 {
 pub fn concurrency_rows() -> Vec<ConcurrencyRow> {
     const NODES: usize = 32;
     const WORDS: usize = 256;
-    let policy = RetryPolicy::default();
+    let policy = RecoveryPolicy::retransmit();
     sweeps::CONCURRENCY_KS
         .iter()
         .map(|&k| {
@@ -1403,7 +1402,8 @@ pub fn collectives_rows(node_counts: &[usize]) -> Vec<CollectivesRow> {
         let bcast_instr_phased = total_instr(&m, nodes);
         let mut m = machine();
         let t0 = m.network().borrow().now();
-        let dag = coll::broadcast(&mut m, NodeId::new(0), [7; 4]).expect("clean substrate");
+        let (dag, _) =
+            coll::broadcast(&mut m, NodeId::new(0), [7; 4], None).expect("clean substrate");
         assert_eq!(phased, dag, "broadcast results agree at {nodes} nodes");
         out.push(CollectivesRow {
             collective: "broadcast",
@@ -1421,7 +1421,7 @@ pub fn collectives_rows(node_counts: &[usize]) -> Vec<CollectivesRow> {
         let ar_instr_phased = total_instr(&m, nodes);
         let mut m = machine();
         let t0 = m.network().borrow().now();
-        let dag = coll::allreduce_sum(&mut m, &inputs).expect("clean substrate");
+        let (dag, _) = coll::allreduce_sum(&mut m, &inputs, None).expect("clean substrate");
         assert_eq!(phased, dag, "allreduce results agree at {nodes} nodes");
         out.push(CollectivesRow {
             collective: "allreduce",
@@ -1538,24 +1538,29 @@ pub struct RecoveryRow {
 
 /// Measure one (family, window) cell of the crash-recovery study on a
 /// 16-node adaptive fat tree: per seed, one operation of the family is
-/// driven through [`Machine`]'s engine-native recovering entry point
+/// submitted with engine-native recovery ([`timego_am::Submit::recovering`])
 /// while the crash node loses its protocol state from cycle 50 for
 /// `window` cycles and restarts. Every cell must converge to
 /// exactly-once, byte-exact delivery.
 ///
-/// Families and their crash targets:
-/// * `"xfer"` — 256-word reliable transfer 2 → 9; receiver crashes.
-/// * `"stream"` — 256-word stream send 3 → 9; receiver crashes.
+/// Families, their crash targets and their execution budgets:
+/// * `"xfer"` — 256-word reliable transfer 2 → 9; receiver crashes;
+///   10 executions.
+/// * `"stream"` — 256-word stream send 3 → 9; receiver crashes;
+///   6 executions.
 /// * `"rpc"` — 8 calls 4 → 9; the *callee* crashes (exactly-once is
 ///   pinned by a handler-run counter: the reply cache answers engine
-///   re-executions, a restarted incarnation legitimately runs afresh).
+///   re-executions, a restarted incarnation legitimately runs afresh);
+///   6 executions per call.
 /// * `"collective"` — binomial-tree broadcast from node 0; an interior
-///   node (5) crashes mid-fan-out and its subtree recovers in-DAG.
+///   node (5) crashes mid-fan-out and its subtree recovers in-DAG;
+///   6 executions per edge.
 #[must_use]
 pub fn recovery_family_row(family: &'static str, window: u64, seeds: u64) -> RecoveryRow {
     let nodes = sweeps::RECOVERY_NODES;
-    let policy = RetryPolicy::default();
-    let recovery = RecoveryPolicy::default();
+    // Protocol phases retransmit up to ten times in every family.
+    let retransmit = RecoveryPolicy::retransmit();
+    let executions = |max_attempts| RecoveryPolicy { max_attempts, ..RecoveryPolicy::default() };
     let mut row = RecoveryRow {
         family,
         window,
@@ -1595,9 +1600,12 @@ pub fn recovery_family_row(family: &'static str, window: u64, seeds: u64) -> Rec
             "xfer" => {
                 let (src, dst) = (NodeId::new(2), NodeId::new(9));
                 m.reset_costs();
-                let (out, re) = m
-                    .xfer_reliable_recovering(src, dst, &data, &policy)
-                    .expect("xfer crash recovery must converge");
+                let s = Op::reliable(src, dst, &data, &retransmit).recovering(&executions(10));
+                let (OpOutcome::Reliable(out), re) =
+                    m.run(s).expect("xfer crash recovery must converge")
+                else {
+                    unreachable!("reliable op yields a reliable outcome")
+                };
                 let ok = m.read_buffer(dst, out.xfer.dst_buffer, data.len()) == data;
                 (ok, u64::from(re), vec![src, dst])
             }
@@ -1606,7 +1614,7 @@ pub fn recovery_family_row(family: &'static str, window: u64, seeds: u64) -> Rec
                 let id = m.open_stream(src, dst, StreamConfig::default());
                 m.reset_costs();
                 let (_, re) = m
-                    .stream_send_recovering(id, &data, &recovery)
+                    .run(Op::stream(id, &data).recovering(&executions(6)))
                     .expect("stream crash recovery must converge");
                 let ok = m.stream_received(id) == data;
                 (ok, u64::from(re), vec![src, dst])
@@ -1618,22 +1626,19 @@ pub fn recovery_family_row(family: &'static str, window: u64, seeds: u64) -> Rec
                 let mut ok = true;
                 let mut re_total = 0u64;
                 for v in 0..8u32 {
-                    let (reply, re) = m
-                        .rpc_call_recovering(src, dst, 40, [v, 0, 0, 0], &policy, &recovery)
-                        .expect("rpc crash recovery must converge");
-                    ok &= reply[0] == v.wrapping_mul(3);
+                    let s = Op::rpc(src, dst, 40, [v, 0, 0, 0], Some(&retransmit))
+                        .recovering(&executions(6));
+                    let (reply, re) = m.run(s).expect("rpc crash recovery must converge");
+                    ok &= reply == OpOutcome::Rpc([v.wrapping_mul(3), 0, 0, 0]);
                     re_total += u64::from(re);
                 }
                 (ok, re_total, vec![src, dst])
             }
             "collective" => {
                 m.reset_costs();
-                let (seen, re) = collectives::broadcast_recovering(
-                    &mut m,
-                    NodeId::new(0),
-                    [7, 7, 7, 7],
-                    &recovery,
-                )
+                let budget = executions(6);
+                let (seen, re) =
+                    collectives::broadcast(&mut m, NodeId::new(0), [7, 7, 7, 7], Some(&budget))
                 .expect("collective crash recovery must converge");
                 let ok = seen.iter().all(|v| *v == [7, 7, 7, 7]);
                 (ok, u64::from(re), (0..nodes).map(NodeId::new).collect())

@@ -13,7 +13,7 @@
 //! are in flight, otherwise straight to the next timer. A waking
 //! operation receives the timer ticks it slept through in one batch;
 //! those ticks drive retry windows from
-//! [`RetryPolicy`](crate::RetryPolicy) and stream retransmission
+//! [`RecoveryPolicy`](crate::RecoveryPolicy) and stream retransmission
 //! timeouts. The retained reference scheduler
 //! ([`SchedMode::ReferenceRoundRobin`]) steps every running operation
 //! on each pass and ticks each one once per idle cycle; the two produce
@@ -267,7 +267,7 @@ pub(crate) fn clock(m: &Machine) -> u64 {
 /// [`Engine::take_outcome`]:
 ///
 /// ```
-/// use timego_am::{CmamConfig, Engine, Machine, Op, OpOutcome, RecoveryPolicy, RetryPolicy};
+/// use timego_am::{CmamConfig, Engine, Machine, Op, OpOutcome, RecoveryPolicy};
 /// use timego_netsim::{DeliveryScript, NodeId, ScriptedNetwork};
 /// use timego_ni::share;
 ///
@@ -280,7 +280,7 @@ pub(crate) fn clock(m: &Machine) -> u64 {
 /// let first = eng.submit_xfer(&m, a, b, &[1, 2, 3])?;
 /// let second = eng.submit(
 ///     &m,
-///     Op::reliable(b, c, &[4, 5, 6], &RetryPolicy::default())
+///     Op::reliable(b, c, &[4, 5, 6], &RecoveryPolicy::retransmit())
 ///         .after(&[first])
 ///         .recovering(&RecoveryPolicy::default())
 ///         .deadline(100_000)
@@ -352,9 +352,11 @@ pub struct Engine {
     // 4 × max_wait_cycles from the machine config at enforcement time.
     watchdog: Option<u64>,
     // Engine-native recovery plane: per-op re-execution recipe and
-    // budget, armed by `Submit::recovering`. Entries are
-    // kept after settlement so `recovery_executions` stays answerable.
+    // budget, armed by `Submit::recovering` and dropped at settlement,
+    // when a nonzero re-execution count moves to `re_executed` so
+    // `recovery_executions` stays answerable.
     recovery: BTreeMap<OpId, RecoveryState>,
+    re_executed: BTreeMap<OpId, u32>,
     // Ops waiting out a recovery backoff window: id -> (absolute
     // substrate clock at which to re-execute, route). A parked op keeps its
     // conflict key busy so queued same-key work cannot overtake the
@@ -378,10 +380,21 @@ pub struct Engine {
 }
 
 impl Machine {
-    /// Run one operation to completion on a fresh engine — the body of
-    /// every blocking protocol call. Returns the outcome and the number
-    /// of engine-native re-executions it took.
-    pub(crate) fn run_one(&mut self, s: Submit) -> Result<(OpOutcome, u32), ProtocolError> {
+    /// Run one operation — an [`Op`] constructor with any mix of
+    /// [`Submit`] modifiers — to completion on a fresh engine: the body
+    /// of every blocking protocol call. Returns the outcome and the
+    /// number of engine-native re-executions it took (zero without
+    /// [`Submit::recovering`]).
+    ///
+    /// # Errors
+    ///
+    /// The operation's own error, or a submission error as
+    /// [`Engine::submit`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Engine::submit`].
+    pub fn run(&mut self, s: Submit) -> Result<(OpOutcome, u32), ProtocolError> {
         let mut eng = Engine::new();
         let op = eng.submit(self, s)?;
         eng.run(self);
@@ -434,6 +447,7 @@ impl Engine {
             deadlines: BTreeMap::new(),
             watchdog: None,
             recovery: BTreeMap::new(),
+            re_executed: BTreeMap::new(),
             parked: BTreeMap::new(),
             trace: Vec::new(),
             idle_streak: 0,
@@ -493,7 +507,7 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if the endpoints are equal or out of range, a stream id is
-    /// stale, or a policy allows zero attempts or executions.
+    /// stale, or a protocol or recovery policy has `max_attempts == 0`.
     pub fn submit(&mut self, m: &Machine, s: Submit) -> Result<OpId, ProtocolError> {
         let Submit { mut spec, after, recovery, deadline, class } = s;
         spec.check(m, recovery.as_ref())?;
@@ -524,7 +538,7 @@ impl Engine {
         // with re-executions to spend keeps one to rebuild from.
         let managed = recovery.is_some();
         let (op, armed) = match recovery {
-            Some(policy) if policy.max_executions > 1 => {
+            Some(policy) if policy.max_attempts > 1 => {
                 let op = spec.clone().into_kind(m, true);
                 (op, Some(RecoveryState { spec, policy, re_executions: 0 }))
             }
@@ -534,13 +548,15 @@ impl Engine {
         if let Some(class) = class {
             self.class_of.insert(id, class);
         }
-        if let Some(state) = armed {
-            self.recovery.insert(id, state);
-        }
         // An op that settled at submission (a predecessor had already
-        // failed) arms no deadline.
-        if let Some(cycles) = deadline.filter(|_| !self.done_err.contains(&id)) {
-            self.arm_deadline(m, id, cycles);
+        // failed) arms neither recovery nor a deadline.
+        if !self.done_err.contains(&id) {
+            if let Some(state) = armed {
+                self.recovery.insert(id, state);
+            }
+            if let Some(cycles) = deadline {
+                self.arm_deadline(m, id, cycles);
+            }
         }
         Ok(id)
     }
@@ -720,6 +736,11 @@ impl Engine {
         self.record(m, EngineEvent::Completed(id, ok));
         self.outcomes.insert(id, result);
         self.deadlines.remove(&id);
+        if let Some(state) = self.recovery.remove(&id) {
+            if state.re_executions > 0 {
+                self.re_executed.insert(id, state.re_executions);
+            }
+        }
         if ok {
             self.done_ok.insert(id);
         } else {

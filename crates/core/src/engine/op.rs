@@ -11,7 +11,7 @@ use super::{OpId, OpOutcome};
 use crate::am::Am4Op;
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Tags};
-use crate::retry::{RecoveryPolicy, RetryPolicy};
+use crate::retry::RecoveryPolicy;
 use crate::rpc::RpcOp;
 use crate::stream::{StreamId, StreamOp};
 use crate::xfer::{PayloadEngine, XferOp};
@@ -66,8 +66,9 @@ impl Op {
     }
 
     /// A fault-tolerant finite-sequence transfer (the engine form of
-    /// [`Machine::xfer_reliable`]).
-    pub fn reliable(src: NodeId, dst: NodeId, data: &[u32], policy: &RetryPolicy) -> Submit {
+    /// [`Machine::xfer_reliable`]); `policy.max_attempts` bounds each
+    /// protocol phase's retransmissions.
+    pub fn reliable(src: NodeId, dst: NodeId, data: &[u32], policy: &RecoveryPolicy) -> Submit {
         Submit::new(OpSpec::Reliable { src, dst, data: data.to_vec(), policy: policy.clone() })
     }
 
@@ -78,16 +79,17 @@ impl Op {
         Submit::new(OpSpec::Stream { id, data: data.to_vec(), base_seq: None })
     }
 
-    /// An RPC (the engine form of [`Machine::rpc_call`] without a
-    /// policy, [`Machine::rpc_call_retrying`] with one). The call id is
-    /// allocated at submission, so replies of concurrent calls — even
-    /// between the same pair of nodes — are matched by correlation id.
+    /// An RPC (the engine form of [`Machine::rpc_call`]). With a
+    /// policy, a lost request or reply is retransmitted up to
+    /// `policy.max_attempts` attempts. The call id is allocated at
+    /// submission, so replies of concurrent calls — even between the
+    /// same pair of nodes — are matched by correlation id.
     pub fn rpc(
         src: NodeId,
         dst: NodeId,
         tag: u8,
         args: [u32; 4],
-        policy: Option<&RetryPolicy>,
+        policy: Option<&RecoveryPolicy>,
     ) -> Submit {
         Submit::new(OpSpec::Rpc { src, dst, tag, args, call_id: 0, policy: policy.cloned() })
     }
@@ -137,17 +139,21 @@ impl Submit {
 
     /// Engine-native recovery: if the operation settles with a
     /// retryable error (`SessionReset`, `Timeout`, `DeadlineExceeded`),
-    /// the scheduler re-executes it under the same [`OpId`] after the
-    /// policy's backoff window, billing the session-restart shape to
-    /// `Feature::FaultTol` at the source. Dependents stay held across
-    /// re-executions. A reliable transfer re-runs under a fresh session
-    /// epoch; a stream send resumes at the receiver's contiguous mark;
-    /// an RPC reuses its call id, so the callee's reply cache keeps the
-    /// handler at most once per callee incarnation; an am4 rides a
-    /// nonzero delivery token in its header, so a duplicate left by a
-    /// crash-straddling re-execution is orphan-discarded instead of
-    /// mistaken for a later same-pair message. Plain transfers take no
-    /// recovery (submit [`Op::reliable`] instead).
+    /// the scheduler re-executes it under the same [`OpId`], up to
+    /// `policy.max_attempts` executions in all, parking
+    /// `policy.backoff(k)` cycles before re-execution `k + 1` and
+    /// billing the session-restart shape to `Feature::FaultTol` at the
+    /// source. The protocol policy of [`Op::reliable`] or [`Op::rpc`]
+    /// still bounds each execution's retransmissions. Dependents stay
+    /// held across re-executions. A reliable transfer re-runs under a
+    /// fresh session epoch; a stream send resumes at the receiver's
+    /// contiguous mark; an RPC reuses its call id, so the callee's
+    /// reply cache keeps the handler at most once per callee
+    /// incarnation; an am4 rides a nonzero delivery token in its
+    /// header, so a duplicate left by a crash-straddling re-execution
+    /// is orphan-discarded instead of mistaken for a later same-pair
+    /// message. Plain transfers take no recovery (submit
+    /// [`Op::reliable`] instead).
     pub fn recovering(mut self, policy: &RecoveryPolicy) -> Self {
         self.recovery = Some(policy.clone());
         self
@@ -204,7 +210,7 @@ pub(super) enum OpSpec {
         src: NodeId,
         dst: NodeId,
         data: Vec<u32>,
-        policy: RetryPolicy,
+        policy: RecoveryPolicy,
     },
     Stream {
         id: StreamId,
@@ -221,7 +227,7 @@ pub(super) enum OpSpec {
         args: [u32; 4],
         /// Allocated at submission.
         call_id: u64,
-        policy: Option<RetryPolicy>,
+        policy: Option<RecoveryPolicy>,
     },
     Am4 {
         src: NodeId,
@@ -244,13 +250,14 @@ impl OpSpec {
         recovery: Option<&RecoveryPolicy>,
     ) -> Result<(), ProtocolError> {
         if let Some(r) = recovery {
-            assert!(r.max_executions >= 1, "need at least one execution");
+            assert!(r.max_attempts >= 1, "need at least one execution");
         }
         let endpoints = |what: &str, src: NodeId, dst: NodeId| {
             assert_ne!(src, dst, "{what} endpoints must differ");
             assert!(src.index() < m.num_nodes() && dst.index() < m.num_nodes());
         };
-        let attempts = |p: &RetryPolicy| assert!(p.max_attempts >= 1, "need at least one attempt");
+        let attempts =
+            |p: &RecoveryPolicy| assert!(p.max_attempts >= 1, "need at least one attempt");
         let reject = |why: String| Err(ProtocolError::BadTransfer(why));
         match self {
             OpSpec::Xfer { src, dst, data, .. } => {

@@ -18,7 +18,8 @@ use crate::retry::RecoveryPolicy;
 use crate::sched::SchedMode;
 
 /// Re-execution recipe and budget for one recovery-armed operation
-/// (see [`Submit::recovering`](super::Submit::recovering)).
+/// (see [`Submit::recovering`](super::Submit::recovering)), kept only
+/// until the operation settles.
 pub(super) struct RecoveryState {
     pub(super) spec: OpSpec,
     pub(super) policy: RecoveryPolicy,
@@ -59,7 +60,10 @@ impl Engine {
     /// [`RecoveryPolicy`]). Stays answerable after the op settles.
     #[must_use]
     pub fn recovery_executions(&self, id: OpId) -> u32 {
-        self.recovery.get(&id).map_or(0, |s| s.re_executions)
+        match self.recovery.get(&id) {
+            Some(s) => s.re_executions,
+            None => self.re_executed.get(&id).copied().unwrap_or(0),
+        }
     }
 
     /// Number of operations currently parked between recovery
@@ -83,7 +87,7 @@ impl Engine {
     /// This is the serving plane's cap on *recovery amplification*: a
     /// correlated failure (a crashed server absorbing a whole class's
     /// requests) otherwise multiplies every request into
-    /// `max_executions` attempts at the worst possible time. The bucket
+    /// `max_attempts` executions at the worst possible time. The bucket
     /// starts full. Re-arming a class resets its bucket and counter.
     /// Ops of classes without a budget — and untagged ops — are never
     /// consulted.
@@ -148,7 +152,7 @@ impl Engine {
         }
         {
             let Some(state) = self.recovery.get(&id) else { return false };
-            if state.re_executions + 1 >= state.policy.max_executions {
+            if state.re_executions + 1 >= state.policy.max_attempts {
                 return false;
             }
         }
@@ -165,8 +169,8 @@ impl Engine {
         if let (OpSpec::Stream { base_seq, .. }, Some(OpKind::Stream(s))) = (&mut state.spec, op) {
             base_seq.get_or_insert(s.first_seq);
         }
+        let wait = state.policy.backoff(state.re_executions);
         state.re_executions += 1;
-        let wait = state.policy.window(state.re_executions);
         let src = route.endpoints.0;
         let cpu = m.cpu(src);
         let cls = self.class_pre(m, id, (src, src));
@@ -250,5 +254,58 @@ impl Engine {
             }
         }
         m.gc_expired(&live_sessions, &live_replies);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use timego_netsim::{
+        CrashWindow, FaultConfig, Mesh2D, NodeId, SwitchedConfig, SwitchedNetwork,
+    };
+    use timego_ni::share;
+
+    use super::super::{Engine, EngineEvent, Op};
+    use crate::machine::{CmamConfig, Machine};
+    use crate::retry::RecoveryPolicy;
+
+    /// The recovery ledger is bounded by the live ops: once an op
+    /// settles, its spec (payload copy included) and policy are gone,
+    /// and only a nonzero re-execution count stays behind for
+    /// `recovery_executions`, which still matches the trace.
+    #[test]
+    fn settled_ops_keep_no_recovery_spec() {
+        let n = NodeId::new;
+        let fault = FaultConfig {
+            crashes: vec![CrashWindow { node: n(1), start: 0, end: u64::MAX }],
+            ..FaultConfig::default()
+        };
+        let net = SwitchedNetwork::new(
+            Mesh2D::new(2, 2),
+            SwitchedConfig { fault, seed: 1, ..SwitchedConfig::default() },
+        );
+        let mut m = Machine::new(share(net), 4, CmamConfig::default());
+        let data: Vec<u32> = (0..64).collect();
+        let protocol =
+            RecoveryPolicy { max_attempts: 2, base_wait: 256, ..RecoveryPolicy::default() };
+        let recovery = RecoveryPolicy { max_attempts: 3, ..RecoveryPolicy::default() };
+        let mut eng = Engine::new();
+        let ids = [
+            // Into the node that is dark for the whole run: every
+            // execution fails, so the budget is spent.
+            eng.submit(&m, Op::reliable(n(0), n(1), &data, &protocol).recovering(&recovery)),
+            // Clean: armed, never re-executed.
+            eng.submit(&m, Op::reliable(n(2), n(3), &data, &protocol).recovering(&recovery)),
+            eng.submit(&m, Op::rpc(n(3), n(1), 40, [0; 4], Some(&protocol)).recovering(&recovery)),
+        ]
+        .map(Result::unwrap);
+        eng.run(&mut m);
+        assert!(eng.recovery.is_empty(), "no settled op may still hold a spec");
+        let recovering = |id| {
+            eng.trace().iter().filter(|e| e.event == EngineEvent::Recovering(id)).count() as u32
+        };
+        let counts = ids.map(|id| eng.recovery_executions(id));
+        assert_eq!(counts, ids.map(recovering));
+        assert_eq!(counts, [2, 0, 2]);
+        assert_eq!(eng.re_executed.len(), 2, "only nonzero counts are kept");
     }
 }

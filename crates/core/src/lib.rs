@@ -85,7 +85,7 @@ pub use machine::{CmamConfig, Machine, Tags};
 pub use measure::{
     measure_hl_stream, measure_hl_xfer, measure_single_packet, measure_stream, measure_xfer,
 };
-pub use retry::{RecoveryPolicy, RetryPolicy};
+pub use retry::RecoveryPolicy;
 pub use rpc::{classify_poll, RpcEvent};
 pub use sched::{PhaseTotal, SchedCounters, SchedMode, SchedPhase, SchedProfiler, Slab, TimingWheel};
 pub use stream::{StreamConfig, StreamId, StreamOutcome};

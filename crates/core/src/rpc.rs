@@ -19,7 +19,7 @@ use crate::costs::{am4_recv, am4_send, recovery};
 use crate::engine::{check_restart, peek_is, win, Op, OpOutcome, Stepped};
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Tags};
-use crate::retry::{RecoveryPolicy, RetryPolicy};
+use crate::retry::RecoveryPolicy;
 
 /// The result of servicing one node once (see [`Machine::rpc_service`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,105 +67,40 @@ impl Machine {
     /// cheapest safe round trip: 2 × 47 instructions plus handler
     /// dispatch).
     ///
+    /// With a `policy`, a lost request or reply is recovered by
+    /// retransmitting the request after an exponential-backoff window
+    /// (see [`RecoveryPolicy`]). The callee answers retransmitted
+    /// requests from its reply cache, so the handler runs **exactly
+    /// once** per call even when the request is retried or duplicated
+    /// in the network. All recovery work — the retransmissions and the
+    /// duplicate-suppression machinery — is charged to
+    /// `Feature::FaultTol`; on a fault-free run the call executes (and
+    /// costs) exactly what it does without a policy.
+    ///
     /// # Errors
     ///
     /// [`ProtocolError::Timeout`] if no reply arrives within the
     /// configured wait bound (e.g. the request or reply was corrupted
-    /// on a detect-only substrate).
+    /// on a detect-only substrate), or, with a policy, once every
+    /// attempt's window has expired without a reply.
     ///
     /// # Panics
     ///
-    /// Panics if either node is out of range or `src == dst`.
+    /// Panics if either node is out of range, `src == dst`, or the
+    /// policy allows zero attempts.
     pub fn rpc_call(
         &mut self,
         src: NodeId,
         dst: NodeId,
         tag: u8,
         args: [u32; 4],
+        policy: Option<&RecoveryPolicy>,
     ) -> Result<[u32; 4], ProtocolError> {
-        let s = Op::rpc(src, dst, tag, args, None);
-        let (OpOutcome::Rpc(words), _) = self.run_one(s)? else {
+        let s = Op::rpc(src, dst, tag, args, policy);
+        let (OpOutcome::Rpc(words), _) = self.run(s)? else {
             unreachable!("rpc op yields reply words")
         };
         Ok(words)
-    }
-
-    /// Perform a blocking RPC with bounded retry: like
-    /// [`Machine::rpc_call`], but a lost request or reply is recovered by
-    /// retransmitting the request after an exponential-backoff window
-    /// (see [`RetryPolicy`]). The callee answers retransmitted requests
-    /// from its reply cache, so the handler runs **exactly once** per
-    /// call even when the request is retried or duplicated in the
-    /// network. All recovery work — the retransmissions and the
-    /// duplicate-suppression machinery — is charged to
-    /// `Feature::FaultTol`; on a fault-free run this executes (and
-    /// costs) exactly what [`Machine::rpc_call`] does.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::Timeout`] (with node and attempt context) once
-    /// every attempt's window has expired without a reply.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range, `src == dst`, or the
-    /// policy allows zero attempts.
-    pub fn rpc_call_retrying(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        tag: u8,
-        args: [u32; 4],
-        policy: &RetryPolicy,
-    ) -> Result<[u32; 4], ProtocolError> {
-        let s = Op::rpc(src, dst, tag, args, Some(policy));
-        let (OpOutcome::Rpc(words), _) = self.run_one(s)? else {
-            unreachable!("rpc op yields reply words")
-        };
-        Ok(words)
-    }
-
-    /// [`Machine::rpc_call_retrying`] hardened against node
-    /// crash-restarts: when the call dies with a retryable error (the
-    /// callee or caller crashed mid-call, every retry window expired),
-    /// the engine parks the op for the recovery policy's backoff window
-    /// and re-executes it — the re-execution reuses the **same call id**,
-    /// so a callee that already served the call answers from its reply
-    /// cache and the handler still runs exactly once per logical call.
-    /// (A callee that crashed loses its cache with everything else; the
-    /// re-run handler executes on the fresh incarnation, which is the
-    /// correct at-most-once-per-incarnation semantics.) Every
-    /// re-execution bills the session-restart shape to
-    /// `Feature::FaultTol` at the caller; a clean run is
-    /// instruction-identical to [`Machine::rpc_call_retrying`].
-    ///
-    /// Returns the reply words plus the number of re-executions (zero
-    /// when the first execution succeeded).
-    ///
-    /// # Errors
-    ///
-    /// The last execution's error once the recovery budget is exhausted
-    /// (non-retryable errors surface immediately).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range, `src == dst`, the retry
-    /// policy allows zero attempts, or `recovery.max_executions` is
-    /// zero.
-    pub fn rpc_call_recovering(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        tag: u8,
-        args: [u32; 4],
-        policy: &RetryPolicy,
-        recovery: &RecoveryPolicy,
-    ) -> Result<([u32; 4], u32), ProtocolError> {
-        let s = Op::rpc(src, dst, tag, args, Some(policy)).recovering(recovery);
-        let (OpOutcome::Rpc(words), re_executions) = self.run_one(s)? else {
-            unreachable!("rpc op yields reply words")
-        };
-        Ok((words, re_executions))
     }
 
     /// Poll `node` once in RPC terms: serve one pending request (run
@@ -300,7 +235,7 @@ pub(crate) struct RpcOp {
     tag: u8,
     args: [u32; 4],
     pub(crate) call_id: u64,
-    policy: Option<RetryPolicy>,
+    policy: Option<RecoveryPolicy>,
     sent: bool,
     stalled: bool,
     attempt: u32,
@@ -321,7 +256,7 @@ impl RpcOp {
         tag: u8,
         args: [u32; 4],
         call_id: u64,
-        policy: Option<RetryPolicy>,
+        policy: Option<RecoveryPolicy>,
         managed: bool,
     ) -> Self {
         RpcOp {
@@ -476,7 +411,7 @@ mod tests {
         m.register_rpc_handler(n(1), 40, |_, msg| {
             [msg.words.iter().sum(), msg.words[0], 0, 1]
         });
-        let reply = m.rpc_call(n(0), n(1), 40, [1, 2, 3, 4]).unwrap();
+        let reply = m.rpc_call(n(0), n(1), 40, [1, 2, 3, 4], None).unwrap();
         assert_eq!(reply, [10, 1, 0, 1]);
     }
 
@@ -485,7 +420,7 @@ mod tests {
         let mut m = machine();
         m.register_rpc_handler(n(1), 40, |_, _| [0; 4]);
         m.reset_costs();
-        m.rpc_call(n(0), n(1), 40, [0; 4]).unwrap();
+        m.rpc_call(n(0), n(1), 40, [0; 4], None).unwrap();
         let src = m.cpu(n(0)).snapshot();
         let dst = m.cpu(n(1)).snapshot();
         // Caller: one 20-instruction send + one 27-instruction receive
@@ -503,7 +438,7 @@ mod tests {
         let mut m = machine();
         m.register_rpc_handler(n(1), 40, |_, msg| [msg.words[0] * 2, 0, 0, 0]);
         for v in [5u32, 9, 100] {
-            let reply = m.rpc_call(n(0), n(1), 40, [v, 0, 0, 0]).unwrap();
+            let reply = m.rpc_call(n(0), n(1), 40, [v, 0, 0, 0], None).unwrap();
             assert_eq!(reply[0], v * 2);
         }
     }
@@ -524,7 +459,7 @@ mod tests {
         let mut m = Machine::new(share(net), 2, CmamConfig::default());
         m.register_rpc_handler(n(1), 33, |_, msg| [msg.words[0] + 1, 0, 0, 0]);
         for v in 0..32u32 {
-            let reply = m.rpc_call(n(0), n(1), 33, [v, 0, 0, 0]).unwrap();
+            let reply = m.rpc_call(n(0), n(1), 33, [v, 0, 0, 0], None).unwrap();
             assert_eq!(reply[0], v + 1);
         }
     }
@@ -538,7 +473,7 @@ mod tests {
             [mem.load(a), 0, 0, 0]
         });
         m.reset_costs();
-        let reply = m.rpc_call(n(0), n(1), 50, [77, 0, 0, 0]).unwrap();
+        let reply = m.rpc_call(n(0), n(1), 50, [77, 0, 0, 0], None).unwrap();
         assert_eq!(reply[0], 77);
         assert_eq!(m.cpu(n(1)).snapshot().class_total(Class::Mem), 2);
     }
@@ -552,19 +487,19 @@ mod tests {
 
     #[test]
     fn retried_rpc_on_clean_network_costs_exactly_rpc_call() {
-        // Zero-cost-when-clean: with no faults, `rpc_call_retrying`
-        // executes (and costs) exactly what `rpc_call` does, feature by
-        // feature.
+        // Zero-cost-when-clean: with no faults, `rpc_call` with a policy
+        // executes (and costs) exactly what it does without one, feature
+        // by feature.
         let mut plain = machine();
         plain.register_rpc_handler(n(1), 40, |_, msg| [msg.words[0] + 1, 0, 0, 0]);
         plain.reset_costs();
-        plain.rpc_call(n(0), n(1), 40, [7, 0, 0, 0]).unwrap();
+        plain.rpc_call(n(0), n(1), 40, [7, 0, 0, 0], None).unwrap();
 
         let mut retried = machine();
         retried.register_rpc_handler(n(1), 40, |_, msg| [msg.words[0] + 1, 0, 0, 0]);
         retried.reset_costs();
         let reply = retried
-            .rpc_call_retrying(n(0), n(1), 40, [7, 0, 0, 0], &crate::RetryPolicy::default())
+            .rpc_call(n(0), n(1), 40, [7, 0, 0, 0], Some(&RecoveryPolicy::retransmit()))
             .unwrap();
         assert_eq!(reply, [8, 0, 0, 0]);
 
@@ -611,7 +546,7 @@ mod tests {
             });
             for v in 0..12u32 {
                 let reply = m
-                    .rpc_call_retrying(n(0), n(1), 40, [v, 0, 0, 0], &crate::RetryPolicy::default())
+                    .rpc_call(n(0), n(1), 40, [v, 0, 0, 0], Some(&RecoveryPolicy::retransmit()))
                     .unwrap();
                 assert_eq!(reply[0], v * 2, "seed {seed} call {v}");
             }
@@ -648,7 +583,7 @@ mod tests {
             m.register_rpc_handler(n(1), 40, |_, msg| [msg.words[0] + 100, 0, 0, 0]);
             for v in 0..8u32 {
                 let reply = m
-                    .rpc_call_retrying(n(0), n(1), 40, [v, 0, 0, 0], &crate::RetryPolicy::default())
+                    .rpc_call(n(0), n(1), 40, [v, 0, 0, 0], Some(&RecoveryPolicy::retransmit()))
                     .unwrap();
                 assert_eq!(reply[0], v + 100, "seed {seed} call {v}");
             }

@@ -27,7 +27,6 @@ use timego_netsim::{NodeId, RxMeta};
 
 use crate::costs::{ctl_send, stream_dst, stream_src};
 use crate::engine::{check_restart, pairwise, win, Op, OpOutcome, Stepped};
-use crate::retry::RecoveryPolicy;
 use crate::error::ProtocolError;
 use crate::machine::{Machine, Tags};
 
@@ -172,46 +171,10 @@ impl Machine {
     ///
     /// Panics if `id` is stale.
     pub fn stream_send(&mut self, id: StreamId, data: &[u32]) -> Result<StreamOutcome, ProtocolError> {
-        let (OpOutcome::Stream(out), _) = self.run_one(Op::stream(id, data))? else {
+        let (OpOutcome::Stream(out), _) = self.run(Op::stream(id, data))? else {
             unreachable!("stream op yields a stream outcome")
         };
         Ok(out)
-    }
-
-    /// [`Machine::stream_send`] hardened against node crash-restarts:
-    /// when the send dies with a retryable error (an endpoint crashed
-    /// mid-burst, the watchdog fired), the engine parks the op for the
-    /// policy's backoff window and *resumes* it — the re-execution keeps
-    /// the original sequence range and consults the receiver's
-    /// next-expected cursor, so packets the first execution already
-    /// delivered are skipped, convergence is exactly-once and the
-    /// delivered byte stream is exact. Every re-execution bills the
-    /// session-restart shape to `Feature::FaultTol` at the source; a
-    /// clean run is instruction-identical to [`Machine::stream_send`].
-    ///
-    /// Returns the outcome plus the number of re-executions (zero when
-    /// the first execution succeeded).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] for empty data; otherwise the last
-    /// execution's error once the recovery budget is exhausted
-    /// (non-retryable errors surface immediately).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is stale or `recovery.max_executions` is zero.
-    pub fn stream_send_recovering(
-        &mut self,
-        id: StreamId,
-        data: &[u32],
-        recovery: &RecoveryPolicy,
-    ) -> Result<(StreamOutcome, u32), ProtocolError> {
-        let s = Op::stream(id, data).recovering(recovery);
-        let (OpOutcome::Stream(out), re_executions) = self.run_one(s)? else {
-            unreachable!("stream op yields a stream outcome")
-        };
-        Ok((out, re_executions))
     }
 
     /// Immutable view of a stream's protocol state.

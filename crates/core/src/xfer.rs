@@ -92,7 +92,7 @@ impl Machine {
         engine: PayloadEngine,
     ) -> Result<XferOutcome, ProtocolError> {
         let s = Op::xfer_with(src, dst, data, engine);
-        let (OpOutcome::Xfer(out), _) = self.run_one(s)? else {
+        let (OpOutcome::Xfer(out), _) = self.run(s)? else {
             unreachable!("xfer op yields a transfer outcome")
         };
         Ok(out)

@@ -3,7 +3,7 @@
 //! The paper's `CMAM_xfer` *detects* faults (the end-to-end
 //! acknowledgement of step 6) but cannot recover: a dropped data packet
 //! starves the receiver and the transfer fails. This module extends the
-//! protocol with end-to-end recovery driven by a [`RetryPolicy`]:
+//! protocol with end-to-end recovery driven by a [`RecoveryPolicy`]:
 //!
 //! * **handshake retry** — a lost allocation request or reply is
 //!   retransmitted after a backoff window; the receiver answers a
@@ -33,11 +33,12 @@
 //! tolerance work rather than corrupting (or wedging) the current
 //! session.
 //!
-//! Above single-session recovery sits [`Machine::xfer_reliable_recovering`]:
-//! when a peer crash-restart kills a session mid-flight (retryable
-//! [`ProtocolError::SessionReset`] / deadline errors), it re-executes
-//! the whole transfer under a fresh epoch until the policy's attempt
-//! budget runs out, converging to exactly-once byte-exact delivery.
+//! Above single-session recovery sits engine re-execution: submitted
+//! with [`Submit::recovering`](crate::Submit::recovering), a transfer
+//! whose session a peer crash-restart kills mid-flight (retryable
+//! [`ProtocolError::SessionReset`] / deadline errors) re-executes under
+//! a fresh epoch until the recovery policy's execution budget runs out,
+//! converging to exactly-once byte-exact delivery.
 
 use std::collections::VecDeque;
 
@@ -49,7 +50,7 @@ use crate::costs::{recovery, xfer_order, xfer_recv};
 use crate::engine::{check_restart, clock, peek_is, win, Op, OpOutcome, Stepped};
 use crate::error::ProtocolError;
 use crate::machine::{Machine, SessionEntry, Tags};
-use crate::retry::{RecoveryPolicy, RetryPolicy};
+use crate::retry::RecoveryPolicy;
 use crate::xfer::{
     alloc_segment, transfer_claims, transfer_epilogue, transfer_prologue, PayloadEngine,
     XferOutcome, XferRx,
@@ -102,62 +103,13 @@ impl Machine {
         src: NodeId,
         dst: NodeId,
         data: &[u32],
-        policy: &RetryPolicy,
+        policy: &RecoveryPolicy,
     ) -> Result<ReliableOutcome, ProtocolError> {
         let s = Op::reliable(src, dst, data, policy);
-        let (OpOutcome::Reliable(out), _) = self.run_one(s)? else {
+        let (OpOutcome::Reliable(out), _) = self.run(s)? else {
             unreachable!("reliable op yields a reliable outcome")
         };
         Ok(out)
-    }
-
-    /// [`Machine::xfer_reliable`] hardened against node crash-restarts:
-    /// when an attempt dies with a *retryable* error (a peer crashed
-    /// mid-session, a deadline or watchdog fired, a phase timed out),
-    /// the transfer is re-executed from scratch under a fresh session
-    /// epoch after the policy's backoff window, up to
-    /// `policy.max_attempts` total executions. The re-execution happens
-    /// *inside* the protocol engine (an engine-native
-    /// [`RecoveryPolicy`], no caller-side loop): the op parks for the
-    /// backoff window and re-runs under the same [`crate::OpId`].
-    /// Packets of the dead session are recognizably stale under the new
-    /// epoch and get discarded, so convergence is exactly-once and
-    /// byte-exact.
-    ///
-    /// Each re-execution charges the session re-establishment costs
-    /// (`SESSION_RESTART_REG`/`SESSION_RESTART_MEM`) to
-    /// [`Feature::FaultTol`] at the source; a clean first attempt
-    /// charges nothing beyond [`Machine::xfer_reliable`] itself.
-    ///
-    /// Returns the outcome plus the number of re-executions (zero when
-    /// the first attempt succeeded).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadTransfer`] as [`Machine::xfer_reliable`];
-    /// otherwise the last attempt's error once the retry budget is
-    /// exhausted (non-retryable errors propagate immediately).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` or `dst` is out of range, `src == dst`, or the
-    /// policy allows zero attempts.
-    pub fn xfer_reliable_recovering(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        data: &[u32],
-        policy: &RetryPolicy,
-    ) -> Result<(ReliableOutcome, u32), ProtocolError> {
-        let recovery = RecoveryPolicy {
-            max_executions: policy.max_attempts,
-            backoff: policy.clone(),
-        };
-        let s = Op::reliable(src, dst, data, policy).recovering(&recovery);
-        let (OpOutcome::Reliable(out), re_executions) = self.run_one(s)? else {
-            unreachable!("reliable op yields a reliable outcome")
-        };
-        Ok((out, re_executions))
     }
 
     /// Receive one data packet at the receiver, tolerating faults:
@@ -236,7 +188,7 @@ pub(crate) struct ReliableOp {
     data: Vec<u32>,
     n: usize,
     packets: u64,
-    policy: RetryPolicy,
+    policy: RecoveryPolicy,
     phase: ReliablePhase,
     src_buf: Addr,
     // Session epoch for this (src, dst) handshake, allocated at start;
@@ -282,7 +234,7 @@ impl ReliableOp {
         dst: NodeId,
         data: Vec<u32>,
         n: usize,
-        policy: RetryPolicy,
+        policy: RecoveryPolicy,
     ) -> Self {
         let packets = (data.len() as u64).div_ceil(n as u64);
         ReliableOp {
@@ -906,7 +858,7 @@ mod tests {
             let mut reliable = scripted_machine(script);
             reliable.reset_costs();
             let out = reliable
-                .xfer_reliable(n(0), n(1), &data, &RetryPolicy::default())
+                .xfer_reliable(n(0), n(1), &data, &RecoveryPolicy::retransmit())
                 .unwrap();
             assert_eq!(out.handshake_retries, 0);
             assert_eq!(out.data_retransmits, 0);
@@ -936,7 +888,7 @@ mod tests {
         let mut reliable = switched_machine(FaultConfig::default(), 7);
         reliable.reset_costs();
         reliable
-            .xfer_reliable(n(0), n(1), &data, &RetryPolicy::default())
+            .xfer_reliable(n(0), n(1), &data, &RecoveryPolicy::retransmit())
             .unwrap();
 
         for node in [n(0), n(1)] {
@@ -959,7 +911,7 @@ mod tests {
         for seed in 0..8 {
             let mut m = switched_machine(fault.clone(), seed);
             let out = m
-                .xfer_reliable(n(0), n(1), &data, &RetryPolicy::default())
+                .xfer_reliable(n(0), n(1), &data, &RecoveryPolicy::retransmit())
                 .expect("reliable transfer must survive 10% drops");
             assert_eq!(
                 m.read_buffer(n(1), out.xfer.dst_buffer, data.len()),
@@ -987,7 +939,7 @@ mod tests {
             let mut m = switched_machine(fault.clone(), seed);
             m.reset_costs();
             let out = m
-                .xfer_reliable(n(0), n(1), &data, &RetryPolicy::default())
+                .xfer_reliable(n(0), n(1), &data, &RecoveryPolicy::retransmit())
                 .unwrap();
             if out.data_retransmits == 0 || out.handshake_retries > 0 || out.ack_probes > 0 {
                 continue;
@@ -995,7 +947,7 @@ mod tests {
             let mut clean = switched_machine(FaultConfig::default(), seed);
             clean.reset_costs();
             clean
-                .xfer_reliable(n(0), n(1), &data, &RetryPolicy::default())
+                .xfer_reliable(n(0), n(1), &data, &RecoveryPolicy::retransmit())
                 .unwrap();
             // Base / buffer management / in-order totals are untouched
             // by recovery; the delta is all fault tolerance.
@@ -1030,7 +982,7 @@ mod tests {
         let mut m = scripted_machine(DeliveryScript::InOrder);
         let data = vec![0u32; 1 << OFFSET_BITS];
         assert!(matches!(
-            m.xfer_reliable(n(0), n(1), &data, &RetryPolicy::default()),
+            m.xfer_reliable(n(0), n(1), &data, &RecoveryPolicy::retransmit()),
             Err(ProtocolError::BadTransfer(_))
         ));
     }

@@ -15,10 +15,12 @@
 //!
 //! * `submit_*` — build the DAG on a caller-owned [`Engine`] (compose
 //!   with other traffic), then harvest with the matching `*_results`.
+//!   An optional [`RecoveryPolicy`] arms every edge for engine-native
+//!   re-execution.
 //! * the blocking names ([`broadcast`], [`allreduce_sum`], [`barrier`])
 //!   — thin run-to-completion wrappers: fresh engine, submit, run,
-//!   harvest. Drop-in replacements for the old blocking loops, pinned
-//!   cost-identical by the Table 1 edge-count tests below.
+//!   harvest. Cost-identical to the old blocking loops, pinned by the
+//!   Table 1 edge-count tests below.
 //! * `*_phased` — the pre-dependency baseline: one engine run per tree
 //!   round with a full barrier between rounds. The bench report
 //!   compares these against the DAGs to measure what run-after overlap
@@ -72,6 +74,15 @@ pub struct BroadcastDag {
 /// delivered the value to its sender, so independent subtrees overlap.
 /// Nothing moves until the caller pumps the engine.
 ///
+/// With a `recovery` policy every tree edge is recovery-armed
+/// ([`Submit::recovering`]): an edge felled by a node crash-restart (or
+/// a watchdog) is parked and re-executed by the engine itself, and —
+/// the DAG-aware part — its dependent subtree stays held and releases
+/// when the recovered edge finally delivers, instead of cascading
+/// `DependencyFailed`. Each edge carries a unique delivery token, so a
+/// duplicate from a superseded execution can never satisfy (or
+/// corrupt) another edge's delivery.
+///
 /// # Errors
 ///
 /// [`ProtocolError::BadTransfer`] if a dependency id is rejected
@@ -79,19 +90,8 @@ pub struct BroadcastDag {
 ///
 /// # Panics
 ///
-/// Panics if `root` is out of range.
+/// Panics if `root` is out of range or `recovery.max_attempts` is zero.
 pub fn submit_broadcast(
-    eng: &mut Engine,
-    m: &Machine,
-    root: NodeId,
-    value: [u32; 4],
-) -> Result<BroadcastDag, ProtocolError> {
-    broadcast_dag(eng, m, root, value, None)
-}
-
-/// The broadcast tree as a DAG on `eng`, every edge recovery-armed when
-/// `recovery` is given.
-fn broadcast_dag(
     eng: &mut Engine,
     m: &Machine,
     root: NodeId,
@@ -170,79 +170,30 @@ pub fn broadcast_results(
 
 /// Broadcast four words from `root` to every node with a binomial tree:
 /// `⌈log₂ N⌉` rounds, each node relays once. Returns the value as seen
-/// at every node (for verification).
+/// at every node (for verification) plus the total number of edge
+/// re-executions the engine performed (zero without `recovery`).
 ///
 /// A thin run-to-completion wrapper over [`submit_broadcast`] on a
 /// fresh engine — cost-identical to the old blocking loop (one Table 1
-/// round per tree edge, pinned by test).
+/// round per tree edge, pinned by test); a clean recovering run costs
+/// the same.
 ///
 /// # Errors
 ///
-/// [`ProtocolError::Timeout`] if a relay starves.
+/// [`ProtocolError::Timeout`] if a relay starves, or the root-cause
+/// error once some edge's recovery budget is exhausted.
 ///
 /// # Panics
 ///
-/// Panics if `root` is out of range.
+/// Panics if `root` is out of range or `recovery.max_attempts` is zero.
 pub fn broadcast(
     m: &mut Machine,
     root: NodeId,
     value: [u32; 4],
-) -> Result<Vec<[u32; 4]>, ProtocolError> {
-    let mut eng = Engine::new();
-    let dag = submit_broadcast(&mut eng, m, root, value)?;
-    eng.run(m);
-    broadcast_results(&mut eng, &dag, m.num_nodes())
-}
-
-/// [`submit_broadcast`] with an engine-native [`RecoveryPolicy`] on
-/// every tree edge: an edge felled by a node crash-restart (or a
-/// watchdog) is parked and re-executed by the engine itself, and — the
-/// DAG-aware part — its dependent subtree stays held and releases when
-/// the recovered edge finally delivers, instead of cascading
-/// `DependencyFailed`. Each edge carries a unique delivery token, so a
-/// duplicate from a superseded execution can never satisfy (or corrupt)
-/// another edge's delivery.
-///
-/// # Errors
-///
-/// [`ProtocolError::BadTransfer`] if a dependency id is rejected
-/// (cannot happen for ids minted by `eng` itself).
-///
-/// # Panics
-///
-/// Panics if `root` is out of range or `recovery.max_executions` is
-/// zero.
-pub fn submit_broadcast_recovering(
-    eng: &mut Engine,
-    m: &mut Machine,
-    root: NodeId,
-    value: [u32; 4],
-    recovery: &RecoveryPolicy,
-) -> Result<BroadcastDag, ProtocolError> {
-    broadcast_dag(eng, m, root, value, Some(recovery))
-}
-
-/// Blocking self-healing broadcast: [`submit_broadcast_recovering`] on
-/// a fresh engine, run to completion. Returns the per-node values plus
-/// the total number of edge re-executions the engine performed (zero on
-/// a clean run, whose cost is identical to [`broadcast`]).
-///
-/// # Errors
-///
-/// The root-cause error once some edge's recovery budget is exhausted.
-///
-/// # Panics
-///
-/// Panics if `root` is out of range or `recovery.max_executions` is
-/// zero.
-pub fn broadcast_recovering(
-    m: &mut Machine,
-    root: NodeId,
-    value: [u32; 4],
-    recovery: &RecoveryPolicy,
+    recovery: Option<&RecoveryPolicy>,
 ) -> Result<(Vec<[u32; 4]>, u32), ProtocolError> {
     let mut eng = Engine::new();
-    let dag = submit_broadcast_recovering(&mut eng, m, root, value, recovery)?;
+    let dag = submit_broadcast(&mut eng, m, root, value, recovery)?;
     eng.run(m);
     let re_executions = dag.edges.iter().map(|&(_, id)| eng.recovery_executions(id)).sum();
     broadcast_results(&mut eng, &dag, m.num_nodes()).map(|seen| (seen, re_executions))
@@ -313,6 +264,12 @@ pub struct AllreduceDag {
 /// *actually delivered* words, so the result is honest about what moved
 /// on the wire. Nothing moves until the caller pumps the engine.
 ///
+/// With a `recovery` policy every exchange edge is recovery-armed: an
+/// exchange felled by a node crash-restart is parked and re-executed
+/// inside the engine, its later-round dependents stay held until the
+/// recovered exchange delivers, and per-edge delivery tokens keep
+/// superseded duplicates from satisfying any other edge.
+///
 /// # Errors
 ///
 /// [`ProtocolError::BadTransfer`] if a dependency id is rejected
@@ -320,19 +277,9 @@ pub struct AllreduceDag {
 ///
 /// # Panics
 ///
-/// Panics if the node count is not a power of two or inputs are fewer
-/// than the node count.
+/// Panics if the node count is not a power of two, inputs are fewer
+/// than the node count, or `recovery.max_attempts` is zero.
 pub fn submit_allreduce(
-    eng: &mut Engine,
-    m: &Machine,
-    inputs: &[u32],
-) -> Result<AllreduceDag, ProtocolError> {
-    allreduce_dag(eng, m, inputs, None)
-}
-
-/// The recursive-doubling exchanges as a DAG on `eng`, every edge
-/// recovery-armed when `recovery` is given.
-fn allreduce_dag(
     eng: &mut Engine,
     m: &Machine,
     inputs: &[u32],
@@ -394,80 +341,33 @@ pub fn allreduce_results(
 
 /// All-reduce (sum) of one word per node via recursive doubling:
 /// `log₂ N` exchange rounds (N must be a power of two). Returns every
-/// node's result — all equal to the global sum.
+/// node's result — all equal to the global sum — plus the total number
+/// of exchange re-executions the engine performed (zero without
+/// `recovery`).
 ///
 /// A thin run-to-completion wrapper over [`submit_allreduce`] on a
 /// fresh engine — cost-identical to the old blocking loop (exactly N
-/// Table 1 rounds per exchange round).
+/// Table 1 rounds per exchange round); a clean recovering run costs the
+/// same.
 ///
 /// # Errors
 ///
-/// [`ProtocolError::Timeout`] if an exchange starves.
-///
-/// # Panics
-///
-/// Panics if the node count is not a power of two or inputs are fewer
-/// than the node count.
-pub fn allreduce_sum(m: &mut Machine, inputs: &[u32]) -> Result<Vec<u32>, ProtocolError> {
-    let mut eng = Engine::new();
-    let dag = submit_allreduce(&mut eng, m, inputs)?;
-    eng.run(m);
-    allreduce_results(&mut eng, &dag)
-}
-
-/// [`submit_allreduce`] with an engine-native [`RecoveryPolicy`] on
-/// every exchange edge: an exchange felled by a node crash-restart is
-/// parked and re-executed inside the engine, its later-round dependents
-/// stay held until the recovered exchange delivers, and per-edge
-/// delivery tokens keep superseded duplicates from satisfying any other
-/// edge.
-///
-/// # Errors
-///
-/// [`ProtocolError::BadTransfer`] if a dependency id is rejected
-/// (cannot happen for ids minted by `eng` itself).
+/// [`ProtocolError::Timeout`] if an exchange starves, or the root-cause
+/// error once some exchange's recovery budget is exhausted.
 ///
 /// # Panics
 ///
 /// Panics if the node count is not a power of two, inputs are fewer
-/// than the node count, or `recovery.max_executions` is zero.
-pub fn submit_allreduce_recovering(
-    eng: &mut Engine,
+/// than the node count, or `recovery.max_attempts` is zero.
+pub fn allreduce_sum(
     m: &mut Machine,
     inputs: &[u32],
-    recovery: &RecoveryPolicy,
-) -> Result<AllreduceDag, ProtocolError> {
-    allreduce_dag(eng, m, inputs, Some(recovery))
-}
-
-/// Blocking self-healing all-reduce: [`submit_allreduce_recovering`] on
-/// a fresh engine, run to completion. Returns every node's sum plus the
-/// total number of exchange re-executions the engine performed (zero on
-/// a clean run, whose cost is identical to [`allreduce_sum`]).
-///
-/// # Errors
-///
-/// The root-cause error once some exchange's recovery budget is
-/// exhausted.
-///
-/// # Panics
-///
-/// Panics if the node count is not a power of two, inputs are fewer
-/// than the node count, or `recovery.max_executions` is zero.
-pub fn allreduce_sum_recovering(
-    m: &mut Machine,
-    inputs: &[u32],
-    recovery: &RecoveryPolicy,
+    recovery: Option<&RecoveryPolicy>,
 ) -> Result<(Vec<u32>, u32), ProtocolError> {
     let mut eng = Engine::new();
-    let dag = submit_allreduce_recovering(&mut eng, m, inputs, recovery)?;
+    let dag = submit_allreduce(&mut eng, m, inputs, recovery)?;
     eng.run(m);
-    let re_executions = dag
-        .recv
-        .iter()
-        .flat_map(|round| round.iter())
-        .map(|&id| eng.recovery_executions(id))
-        .sum();
+    let re_executions = dag.recv.iter().flatten().map(|&id| eng.recovery_executions(id)).sum();
     allreduce_results(&mut eng, &dag).map(|acc| (acc, re_executions))
 }
 
@@ -524,7 +424,7 @@ pub fn allreduce_phased(m: &mut Machine, inputs: &[u32]) -> Result<Vec<u32>, Pro
 /// Panics if the node count is not a power of two.
 pub fn barrier(m: &mut Machine) -> Result<(), ProtocolError> {
     let zeros = vec![0u32; m.num_nodes()];
-    allreduce_sum(m, &zeros).map(|_| ())
+    allreduce_sum(m, &zeros, None).map(|_| ())
 }
 
 /// The pre-dependency barrier baseline (round-serial all-reduce of
@@ -558,7 +458,7 @@ mod tests {
     fn broadcast_reaches_every_node() {
         for nodes in [1usize, 2, 3, 5, 8] {
             let mut m = machine(nodes);
-            let seen = broadcast(&mut m, NodeId::new(0), [7, 8, 9, 10]).unwrap();
+            let (seen, _) = broadcast(&mut m, NodeId::new(0), [7, 8, 9, 10], None).unwrap();
             assert_eq!(seen.len(), nodes);
             assert!(seen.iter().all(|v| *v == [7, 8, 9, 10]), "nodes={nodes}");
         }
@@ -567,7 +467,7 @@ mod tests {
     #[test]
     fn broadcast_from_nonzero_root() {
         let mut m = machine(6);
-        let seen = broadcast(&mut m, NodeId::new(4), [1, 2, 3, 4]).unwrap();
+        let (seen, _) = broadcast(&mut m, NodeId::new(4), [1, 2, 3, 4], None).unwrap();
         assert!(seen.iter().all(|v| *v == [1, 2, 3, 4]));
     }
 
@@ -575,7 +475,7 @@ mod tests {
     fn broadcast_cost_is_one_round_trip_per_edge() {
         let mut m = machine(8);
         m.reset_costs();
-        broadcast(&mut m, NodeId::new(0), [0; 4]).unwrap();
+        broadcast(&mut m, NodeId::new(0), [0; 4], None).unwrap();
         let total: u64 = (0..8).map(|i| m.cpu(NodeId::new(i)).snapshot().total()).sum();
         // A binomial tree over 8 nodes has 7 edges; each edge is one
         // Table 1 send (20) + receive (27). The engine-native DAG pays
@@ -588,7 +488,7 @@ mod tests {
     fn allreduce_sums_everywhere() {
         let mut m = machine(8);
         let inputs: Vec<u32> = (1..=8).collect();
-        let out = allreduce_sum(&mut m, &inputs).unwrap();
+        let (out, _) = allreduce_sum(&mut m, &inputs, None).unwrap();
         assert_eq!(out, vec![36; 8]);
     }
 
@@ -596,7 +496,7 @@ mod tests {
     fn allreduce_over_real_network() {
         let mut m =
             Machine::new(share(scenarios::cm5_deterministic(4, 2)), 4, CmamConfig::default());
-        let out = allreduce_sum(&mut m, &[10, 20, 30, 40]).unwrap();
+        let (out, _) = allreduce_sum(&mut m, &[10, 20, 30, 40], None).unwrap();
         assert_eq!(out, vec![100; 4]);
     }
 
@@ -610,7 +510,7 @@ mod tests {
     #[should_panic(expected = "power-of-two")]
     fn allreduce_rejects_non_power_of_two() {
         let mut m = machine(3);
-        let _ = allreduce_sum(&mut m, &[1, 2, 3]);
+        let _ = allreduce_sum(&mut m, &[1, 2, 3], None);
     }
 
     /// The DAG form and the round-serial phased form agree on results —
@@ -622,14 +522,14 @@ mod tests {
             let mut a = machine(nodes);
             let mut b = machine(nodes);
             assert_eq!(
-                allreduce_sum(&mut a, &inputs).unwrap(),
+                allreduce_sum(&mut a, &inputs, None).unwrap().0,
                 allreduce_phased(&mut b, &inputs).unwrap(),
                 "allreduce, {nodes} nodes"
             );
             let mut a = machine(nodes);
             let mut b = machine(nodes);
             assert_eq!(
-                broadcast(&mut a, NodeId::new(1), [9, 9, 9, 9]).unwrap(),
+                broadcast(&mut a, NodeId::new(1), [9, 9, 9, 9], None).unwrap().0,
                 broadcast_phased(&mut b, NodeId::new(1), [9, 9, 9, 9]).unwrap(),
                 "broadcast, {nodes} nodes"
             );
@@ -638,7 +538,7 @@ mod tests {
         let mut b = Machine::new(share(scenarios::cm5_deterministic(8, 2)), 8, CmamConfig::default());
         let inputs: Vec<u32> = (1..=8).collect();
         assert_eq!(
-            allreduce_sum(&mut a, &inputs).unwrap(),
+            allreduce_sum(&mut a, &inputs, None).unwrap().0,
             allreduce_phased(&mut b, &inputs).unwrap()
         );
     }
@@ -653,7 +553,7 @@ mod tests {
 
         let mut dag = machine(nodes);
         dag.reset_costs();
-        allreduce_sum(&mut dag, &inputs).unwrap();
+        allreduce_sum(&mut dag, &inputs, None).unwrap();
         let mut phased = machine(nodes);
         phased.reset_costs();
         allreduce_phased(&mut phased, &inputs).unwrap();
@@ -669,7 +569,7 @@ mod tests {
 
         let mut dag = machine(nodes);
         dag.reset_costs();
-        broadcast(&mut dag, NodeId::new(0), [5; 4]).unwrap();
+        broadcast(&mut dag, NodeId::new(0), [5; 4], None).unwrap();
         let mut phased = machine(nodes);
         phased.reset_costs();
         broadcast_phased(&mut phased, NodeId::new(0), [5; 4]).unwrap();
@@ -696,7 +596,7 @@ mod tests {
             CmamConfig::default(),
         );
         let t0 = a.network().borrow().now();
-        allreduce_sum(&mut a, &inputs).unwrap();
+        allreduce_sum(&mut a, &inputs, None).unwrap();
         let dag_cycles = a.network().borrow().now() - t0;
         let mut b = Machine::new(
             share(scenarios::cm5_deterministic(nodes, 2)),
@@ -718,8 +618,8 @@ mod tests {
     fn two_collectives_share_one_engine() {
         let mut m = machine(8);
         let mut eng = Engine::new();
-        let d1 = submit_broadcast(&mut eng, &m, NodeId::new(0), [1; 4]).unwrap();
-        let d2 = submit_broadcast(&mut eng, &m, NodeId::new(3), [2; 4]).unwrap();
+        let d1 = submit_broadcast(&mut eng, &m, NodeId::new(0), [1; 4], None).unwrap();
+        let d2 = submit_broadcast(&mut eng, &m, NodeId::new(3), [2; 4], None).unwrap();
         eng.run(&mut m);
         let s1 = broadcast_results(&mut eng, &d1, 8).unwrap();
         let s2 = broadcast_results(&mut eng, &d2, 8).unwrap();

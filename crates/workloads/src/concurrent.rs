@@ -7,7 +7,7 @@
 //! back to back. The outcome records enough to study aggregate
 //! throughput and per-node load under contention.
 
-use timego_am::{CmamConfig, Engine, Machine, Op, OpOutcome, RetryPolicy, StreamConfig};
+use timego_am::{CmamConfig, Engine, Machine, Op, OpOutcome, RecoveryPolicy, StreamConfig};
 use timego_netsim::NodeId;
 
 use crate::patterns::Pattern;
@@ -110,7 +110,7 @@ impl ConcurrentOutcome {
 pub fn run_concurrent(
     m: &mut Machine,
     ops: &[PlannedOp],
-    policy: &RetryPolicy,
+    policy: &RecoveryPolicy,
 ) -> ConcurrentOutcome {
     let mut eng = Engine::new();
     let mut submitted = Vec::new();
@@ -208,7 +208,7 @@ mod tests {
     fn concurrent_permutation_completes_byte_exact() {
         let mut m = switched_machine(8, 11);
         let ops = permutation_plan(8, TrafficKind::Reliable, 32, 5);
-        let out = run_concurrent(&mut m, &ops, &RetryPolicy::default());
+        let out = run_concurrent(&mut m, &ops, &RecoveryPolicy::retransmit());
         assert_eq!(out.completed, out.submitted, "failures: {:?}", out.failures);
         assert!(out.words_moved >= 32 * out.completed as u64 / 2);
         assert!(out.elapsed_cycles > 0);
@@ -229,7 +229,7 @@ mod tests {
             24,
             2,
         ));
-        let out = run_concurrent(&mut m, &ops, &RetryPolicy::default());
+        let out = run_concurrent(&mut m, &ops, &RecoveryPolicy::retransmit());
         assert_eq!(out.completed, 4, "failures: {:?}", out.failures);
     }
 }

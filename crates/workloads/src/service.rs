@@ -68,7 +68,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use timego_am::{CmamConfig, Engine, Machine, Op, OpId, RecoveryPolicy, RetryPolicy, Tags};
+use timego_am::{CmamConfig, Engine, Machine, Op, OpId, RecoveryPolicy, Tags};
 use timego_cost::{CostVector, Feature, Fine};
 use timego_netsim::rng::splitmix64;
 use timego_netsim::{FaultConfig, LatencyStats, NodeId, ShardedNetwork, SimRng};
@@ -441,8 +441,9 @@ pub struct QosClass {
     /// recovery-armed: retryable failures (crash-window `SessionReset`s
     /// included) park and re-execute to exactly-once completion.
     pub recovery: Option<RecoveryPolicy>,
-    /// Inner protocol retry policy for the RPC itself.
-    pub retry: RetryPolicy,
+    /// In-protocol retransmission for the RPC itself (`max_attempts`
+    /// attempts per call execution).
+    pub retry: RecoveryPolicy,
     /// Whether requests of this class hedge when the run's
     /// [`HedgeSpec`] is armed (tail insurance is an interactive trait —
     /// batch work just waits).
@@ -468,7 +469,7 @@ impl QosClass {
             work: 4,
             deadline: Some(deadline),
             recovery: None,
-            retry: RetryPolicy::default(),
+            retry: RecoveryPolicy::retransmit(),
             hedge: true,
             sheddable: true,
             retry_budget: None,
@@ -488,7 +489,7 @@ impl QosClass {
             work: 16,
             deadline: None,
             recovery: Some(RecoveryPolicy::default()),
-            retry: RetryPolicy::default(),
+            retry: RecoveryPolicy::retransmit(),
             hedge: false,
             sheddable: false,
             retry_budget: None,

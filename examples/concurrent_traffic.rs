@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run -p timego-bench --example concurrent_traffic`
 
-use timego_am::RetryPolicy;
+use timego_am::RecoveryPolicy;
 use timego_cost::Feature;
 use timego_netsim::NodeId;
 use timego_workloads::concurrent::{self, TrafficKind};
@@ -34,7 +34,7 @@ fn main() {
         ops.len(),
         ops.len() - transfers,
     );
-    let out = concurrent::run_concurrent(&mut m, &ops, &RetryPolicy::default());
+    let out = concurrent::run_concurrent(&mut m, &ops, &RecoveryPolicy::retransmit());
     assert!(out.failures.is_empty(), "failures: {:?}", out.failures);
 
     println!(

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run -p timego-bench --example fault_injection`
 
-use timego_am::{CmamConfig, Machine, RetryPolicy, StreamConfig};
+use timego_am::{CmamConfig, Machine, RecoveryPolicy, StreamConfig};
 use timego_cost::Feature;
 use timego_netsim::NodeId;
 use timego_ni::share;
@@ -70,7 +70,7 @@ fn main() {
     let fault = scenarios::fault_mix("storm");
     let mut m = Machine::new(share(scenarios::cm5_chaos(4, fault, 99)), 4, CmamConfig::default());
     let out = m
-        .xfer_reliable(src, dst, &data, &RetryPolicy::default())
+        .xfer_reliable(src, dst, &data, &RecoveryPolicy::retransmit())
         .expect("reliable transfer recovers");
     assert_eq!(m.read_buffer(dst, out.xfer.dst_buffer, data.len()), data);
     let ft = m.cpu(src).snapshot().feature_total(Feature::FaultTol)
@@ -95,7 +95,7 @@ fn main() {
     m.register_rpc_handler(dst, 40, |_, msg| [msg.words[0] * 10, 0, 0, 0]);
     for v in 0..8u32 {
         let reply = m
-            .rpc_call_retrying(src, dst, 40, [v, 0, 0, 0], &RetryPolicy::default())
+            .rpc_call(src, dst, 40, [v, 0, 0, 0], Some(&RecoveryPolicy::retransmit()))
             .expect("rpc recovers");
         assert_eq!(reply[0], v * 10);
     }

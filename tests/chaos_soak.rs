@@ -26,7 +26,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use timego_am::{CmamConfig, Machine, Op, RetryPolicy, StreamConfig};
+use timego_am::{CmamConfig, Machine, Op, RecoveryPolicy, StreamConfig};
 use timego_cost::Feature;
 use timego_netsim::{FaultConfig, NodeId};
 use timego_ni::share;
@@ -91,7 +91,7 @@ fn retried_rpc_soaks_clean_across_fault_mixes() {
             for v in 0..calls {
                 let args = [v, seed as u32, 0, 0];
                 let reply = m
-                    .rpc_call_retrying(n(0), n(1), 40, args, &RetryPolicy::default())
+                    .rpc_call(n(0), n(1), 40, args, Some(&RecoveryPolicy::retransmit()))
                     .unwrap_or_else(|e| panic!("{mix}/seed {seed} call {v}: {e}"));
                 assert_eq!(
                     reply,
@@ -123,7 +123,7 @@ fn xfer_reliable_soaks_byte_exact_across_fault_mixes() {
             let words = 32 + (seed as usize % 48);
             let data = payloads::mixed(words, seed);
             let out = m
-                .xfer_reliable(n(0), n(1), &data, &RetryPolicy::default())
+                .xfer_reliable(n(0), n(1), &data, &RecoveryPolicy::retransmit())
                 .unwrap_or_else(|e| panic!("{mix}/seed {seed}: {e}"));
             assert_eq!(
                 m.read_buffer(n(1), out.xfer.dst_buffer, words),
@@ -185,7 +185,7 @@ fn engine_concurrent_ops_soak_exactly_once_across_fault_mixes() {
 
     const ENGINE_NODES: usize = 8;
     const ENGINE_SEEDS: u64 = 8;
-    let policy = RetryPolicy::default();
+    let policy = RecoveryPolicy::retransmit();
     for (mix, fault) in scenarios::fault_mixes() {
         for seed in 0..ENGINE_SEEDS {
             let mut m = Machine::new(
@@ -303,7 +303,7 @@ fn engine_matrix_soaks_concurrency_by_fault_plane_by_substrate() {
 
     const M_NODES: usize = 16;
     const M_SEEDS: u64 = 2; // reduced grid: this sweep rides the tier-1 path
-    let policy = RetryPolicy::default();
+    let policy = RecoveryPolicy::retransmit();
 
     let mixes: Vec<(&str, FaultConfig)> = vec![
         ("clean", FaultConfig::default()),
@@ -446,7 +446,7 @@ fn engine_matrix_soaks_concurrency_by_fault_plane_by_substrate() {
                             if i % 4 == 3 {
                                 let caller = n((2 * i + 4) % M_NODES);
                                 serial
-                                    .rpc_call_retrying(caller, n(1), 40, [i as u32, seed as u32, 0, 0], &policy)
+                                    .rpc_call(caller, n(1), 40, [i as u32, seed as u32, 0, 0], Some(&policy))
                                     .expect("clean substrate");
                             } else {
                                 let (src, dst) = pair(xj);
@@ -484,7 +484,7 @@ fn fault_free_soak_runs_cost_exactly_the_paper_protocols() {
     let b = base.xfer(n(0), n(1), &data).unwrap();
     let mut rel = chaos_machine(&clean, 5);
     rel.reset_costs();
-    let r = rel.xfer_reliable(n(0), n(1), &data, &RetryPolicy::default()).unwrap();
+    let r = rel.xfer_reliable(n(0), n(1), &data, &RecoveryPolicy::retransmit()).unwrap();
     assert_eq!(r.xfer.packets, b.packets);
     assert_eq!(
         (r.handshake_retries, r.data_retransmits, r.nack_rounds, r.ack_probes),
@@ -501,16 +501,16 @@ fn fault_free_soak_runs_cost_exactly_the_paper_protocols() {
         }
     }
 
-    // rpc_call_retrying vs rpc_call.
+    // rpc_call with a policy vs without.
     let mut base = chaos_machine(&clean, 6);
     base.register_rpc_handler(n(1), 40, |_, msg| [msg.words[0] + 1, 0, 0, 0]);
     base.reset_costs();
-    assert_eq!(base.rpc_call(n(0), n(1), 40, [7, 0, 0, 0]).unwrap()[0], 8);
+    assert_eq!(base.rpc_call(n(0), n(1), 40, [7, 0, 0, 0], None).unwrap()[0], 8);
     let mut ret = chaos_machine(&clean, 6);
     ret.register_rpc_handler(n(1), 40, |_, msg| [msg.words[0] + 1, 0, 0, 0]);
     ret.reset_costs();
     assert_eq!(
-        ret.rpc_call_retrying(n(0), n(1), 40, [7, 0, 0, 0], &RetryPolicy::default()).unwrap()[0],
+        ret.rpc_call(n(0), n(1), 40, [7, 0, 0, 0], Some(&RecoveryPolicy::retransmit())).unwrap()[0],
         8
     );
     for node in [n(0), n(1)] {

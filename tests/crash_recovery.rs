@@ -11,7 +11,7 @@
 //! * **Crash recovery**: a node crash window mid-transfer erases the
 //!   receiver's protocol state; the source detects the restart via the
 //!   crash counter, fails fast with the retryable `SessionReset`, and
-//!   `xfer_reliable_recovering` re-executes under a fresh epoch until
+//!   a recovering reliable transfer re-executes under a fresh epoch until
 //!   delivery is exactly-once and byte-exact, all billed to fault
 //!   tolerance.
 //! * **Supervision**: per-op deadlines and the no-progress watchdog
@@ -21,7 +21,7 @@
 //!   work and drains the fabric.
 
 use timego_am::{
-    CmamConfig, Engine, Machine, Op, OpOutcome, ProtocolError, RetryPolicy, Tags,
+    CmamConfig, Engine, Machine, Op, OpOutcome, ProtocolError, RecoveryPolicy, Tags,
 };
 use timego_cost::Feature;
 use timego_netsim::{
@@ -83,7 +83,7 @@ fn dup_jitter() -> FaultConfig {
 #[test]
 fn repeated_same_pair_transfers_stay_exact_under_dup_jitter() {
     const TRANSFERS: usize = 6;
-    let policy = RetryPolicy::default();
+    let policy = RecoveryPolicy::retransmit();
     for sub in ["switched", "wormhole", "dual"] {
         for seed in 0..4u64 {
             let mut m = machine(sub, &dup_jitter(), seed);
@@ -110,7 +110,7 @@ fn repeated_same_pair_transfers_stay_exact_under_dup_jitter() {
 #[test]
 fn stale_epoch_discards_bill_fault_tolerance_only() {
     const TRANSFERS: usize = 6;
-    let policy = RetryPolicy::default();
+    let policy = RecoveryPolicy::retransmit();
     let mut exercised = false;
     for seed in 0..6u64 {
         let run = |fault: &FaultConfig| {
@@ -153,12 +153,12 @@ fn stale_epoch_discards_bill_fault_tolerance_only() {
 /// A node crash mid-transfer erases the receiver's protocol state. The
 /// session dies with a retryable error (`SessionReset` once the restart
 /// is observed, or a phase timeout if the retry budget drains inside
-/// the crash window first); `xfer_reliable_recovering` re-executes
+/// the crash window first); a recovering reliable transfer re-executes
 /// under a fresh epoch and converges to exactly-once byte-exact
 /// delivery, with the re-establishment billed to fault tolerance.
 #[test]
 fn crash_mid_transfer_recovers_end_to_end() {
-    let policy = RetryPolicy::default();
+    let policy = RecoveryPolicy::retransmit();
     let data = payloads::mixed(256, 42);
     let mut recovered = 0;
     for seed in 0..4u64 {
@@ -168,9 +168,11 @@ fn crash_mid_transfer_recovers_end_to_end() {
         };
         let mut m = machine("switched", &fault, seed);
         m.reset_costs();
-        let (out, re_executions) = m
-            .xfer_reliable_recovering(n(2), n(9), &data, &policy)
-            .unwrap_or_else(|e| panic!("seed {seed}: recovery must converge: {e}"));
+        let s = Op::reliable(n(2), n(9), &data, &policy).recovering(&policy);
+        let (out, re_executions) = match m.run(s) {
+            Ok((OpOutcome::Reliable(out), re_executions)) => (out, re_executions),
+            other => panic!("seed {seed}: recovery must converge: {other:?}"),
+        };
         assert_eq!(
             m.read_buffer(n(9), out.xfer.dst_buffer, data.len()),
             data,
@@ -197,7 +199,7 @@ fn restart_is_detected_and_retryable() {
     // A generous policy keeps the session alive across the whole crash
     // window, so the first failure it can die of is the restart
     // observation itself.
-    let policy = RetryPolicy { max_attempts: 10, base_wait: 8192, ..RetryPolicy::default() };
+    let policy = RecoveryPolicy { max_attempts: 10, base_wait: 8192, ..RecoveryPolicy::default() };
     let fault = FaultConfig {
         crashes: vec![CrashWindow { node: n(9), start: 50, end: 4000 }],
         ..FaultConfig::default()
@@ -217,7 +219,7 @@ fn restart_is_detected_and_retryable() {
 /// the retryable `DeadlineExceeded`, without touching other ops.
 #[test]
 fn deadline_settles_op_without_collateral() {
-    let policy = RetryPolicy::default();
+    let policy = RecoveryPolicy::retransmit();
     let mut m = machine("switched", &FaultConfig::default(), 3);
     let mut eng = Engine::new();
     let doomed = eng
@@ -249,7 +251,7 @@ fn watchdog_settles_wedged_op() {
     let mut m = machine("switched", &fault, 5);
     // Retry windows far beyond the watchdog bound: the op itself would
     // wait ~2^19 cycles before even retrying.
-    let policy = RetryPolicy { max_attempts: 4, base_wait: 1 << 19, max_wait: 1 << 19, ..RetryPolicy::default() };
+    let policy = RecoveryPolicy { max_attempts: 4, base_wait: 1 << 19, max_wait: 1 << 19, ..RecoveryPolicy::default() };
     let mut eng = Engine::new();
     eng.set_watchdog(500);
     let id = eng.submit(&m, Op::reliable(n(2), n(9), &[1, 2, 3, 4], &policy)).unwrap();
@@ -264,7 +266,7 @@ fn watchdog_settles_wedged_op() {
 /// with `DependencyFailed` rooted at the cancellation.
 #[test]
 fn cancel_cascades_into_dependents() {
-    let policy = RetryPolicy::default();
+    let policy = RecoveryPolicy::retransmit();
     let mut m = machine("switched", &FaultConfig::default(), 7);
     let mut eng = Engine::new();
     let a = eng.submit(&m, Op::reliable(n(2), n(9), &payloads::mixed(64, 3), &policy)).unwrap();
@@ -288,7 +290,7 @@ fn cancel_cascades_into_dependents() {
 /// running, and leaves the fabric empty.
 #[test]
 fn quiesce_cancels_waiting_work_and_drains_the_fabric() {
-    let policy = RetryPolicy::default();
+    let policy = RecoveryPolicy::retransmit();
     let mut m = machine("switched", &FaultConfig::default(), 9);
     let mut eng = Engine::new();
     let data = payloads::mixed(128, 5);

@@ -273,7 +273,8 @@ fn allreduce_matches_scalar_sum() {
         let expected: u32 = inputs.iter().fold(0u32, |a, b| a.wrapping_add(*b));
         let mut m =
             Machine::new(share(scenarios::table_in_order(nodes)), nodes, CmamConfig::default());
-        let out = timego_workloads::apps::collectives::allreduce_sum(&mut m, &inputs).unwrap();
+        let (out, _) =
+            timego_workloads::apps::collectives::allreduce_sum(&mut m, &inputs, None).unwrap();
         assert!(out.iter().all(|&v| v == expected), "case {case}: {nodes} nodes");
     }
 }
@@ -291,8 +292,8 @@ fn broadcast_reaches_everyone_from_any_root() {
         };
         let mut m =
             Machine::new(share(scenarios::table_in_order(nodes)), nodes, CmamConfig::default());
-        let seen =
-            timego_workloads::apps::collectives::broadcast(&mut m, n(root), value).unwrap();
+        let (seen, _) =
+            timego_workloads::apps::collectives::broadcast(&mut m, n(root), value, None).unwrap();
         assert!(seen.iter().all(|v| *v == value), "case {case}: root {root}/{nodes}");
     }
 }

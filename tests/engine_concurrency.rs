@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use timego_am::{
-    CmamConfig, Engine, EngineEvent, Machine, Op, OpId, OpOutcome, RetryPolicy, TracedEvent,
+    CmamConfig, Engine, EngineEvent, Machine, Op, OpId, OpOutcome, RecoveryPolicy, TracedEvent,
 };
 use timego_cost::Feature;
 use timego_netsim::{DeliveryScript, NodeId, ScriptedNetwork};
@@ -59,7 +59,7 @@ fn eight_plus_ops_across_eight_plus_nodes_interleave_in_one_run() {
     let mut eng = Engine::new();
 
     // 8 reliable transfers on disjoint pairs: 16 distinct nodes.
-    let policy = RetryPolicy::default();
+    let policy = RecoveryPolicy::retransmit();
     let mut expected = Vec::new();
     for i in 0..8 {
         let (src, dst) = (n(2 * i), n(2 * i + 1));

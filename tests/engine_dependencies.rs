@@ -20,7 +20,7 @@
 
 use timego_am::{
     CmamConfig, Engine, EngineEvent, Machine, Op, OpId, OpOutcome, ProtocolError, RecoveryPolicy,
-    RetryPolicy, SchedMode, StreamConfig, Submit, Tags,
+    SchedMode, StreamConfig, Submit, Tags,
 };
 use timego_netsim::{DeliveryScript, FaultConfig, NodeId, ScriptedNetwork};
 use timego_ni::share;
@@ -294,7 +294,7 @@ fn family_rejections_fire_identically_under_every_modifier_combination() {
     let trace_len = eng.trace().len();
     let sid = m.open_stream(n(2), n(3), StreamConfig::default());
     let oversized = vec![0u32; 1 << 20];
-    let policy = RetryPolicy::default();
+    let policy = RecoveryPolicy::retransmit();
     let recovery = RecoveryPolicy::default();
     let reserved = Tags::USER_BASE - 1;
     let cases = [

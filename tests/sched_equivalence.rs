@@ -35,7 +35,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use timego_am::{
-    CmamConfig, Engine, EngineEvent, Machine, Op, OpId, RecoveryPolicy, RetryPolicy, SchedMode,
+    CmamConfig, Engine, EngineEvent, Machine, Op, OpId, RecoveryPolicy, SchedMode,
     StreamConfig, Tags, TracedEvent,
 };
 use timego_cost::{CostVector, Feature};
@@ -253,7 +253,7 @@ fn run_one(mode: SchedMode, sub: &str, variant: &str, seed: u64) -> Fingerprint 
     });
 
     let mut eng = Engine::with_mode(mode);
-    let policy = RetryPolicy::default();
+    let policy = RecoveryPolicy::retransmit();
     let recovery = RecoveryPolicy::default();
     let mut ids: Vec<OpId> = Vec::new();
 

@@ -27,7 +27,7 @@ use std::rc::Rc;
 
 use timego_am::{
     CmamConfig, Engine, EngineEvent, Machine, Op, OpOutcome, ProtocolError, RecoveryPolicy,
-    RetryPolicy, StreamConfig, Tags,
+    StreamConfig, Tags,
 };
 use timego_cost::Feature;
 use timego_netsim::{
@@ -95,28 +95,35 @@ fn fault_tol(m: &Machine, node: NodeId) -> u64 {
 // Engine-level recovery: the ROADMAP remnant, closed.
 // ---------------------------------------------------------------------
 
-/// A recovering submission refused for a zero-execution policy panics
-/// before the engine takes it: no id handed out, no trace entry, and
-/// nothing left for the next `run` to execute — for every family.
+/// A submission refused for a zero-attempt policy panics before the
+/// engine takes it: no id handed out, no trace entry, and nothing left
+/// for the next `run` to execute — for a zero-execution recovery policy
+/// on every family, and for a zero-attempt protocol policy on a
+/// reliable transfer and an RPC.
 #[test]
 fn refused_recovering_submission_leaves_no_live_op() {
     let mut m = machine("switched", &FaultConfig::default(), 1);
     m.register_rpc_handler(n(1), 40, |_, msg| msg.words);
     let sid = m.open_stream(n(0), n(2), StreamConfig::default());
     let data = payloads::mixed(16, 1);
-    let policy = RetryPolicy::default();
-    let no_executions = RecoveryPolicy { max_executions: 0, ..RecoveryPolicy::default() };
+    let policy = RecoveryPolicy::retransmit();
+    let zero = RecoveryPolicy { max_attempts: 0, ..RecoveryPolicy::default() };
     let mut eng = Engine::new();
-    for s in [
+    let zero_executions = [
         Op::reliable(n(2), n(9), &data, &policy),
         Op::stream(sid, &data),
         Op::rpc(n(3), n(1), 40, [1, 2, 3, 4], Some(&policy)),
         Op::am4(n(6), n(7), Tags::USER_BASE, [5; 4]),
-    ] {
-        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            eng.submit(&m, s.recovering(&no_executions))
-        }));
-        assert!(refused.is_err(), "a zero-execution recovery policy must be refused");
+    ]
+    .map(|s| s.recovering(&zero));
+    let zero_attempts = [
+        Op::reliable(n(2), n(9), &data, &zero),
+        Op::rpc(n(3), n(1), 40, [1, 2, 3, 4], Some(&zero)),
+    ];
+    for s in zero_executions.into_iter().chain(zero_attempts) {
+        let refused =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eng.submit(&m, s)));
+        assert!(refused.is_err(), "a zero-attempt policy must be refused");
         assert_eq!(eng.unfinished(), 0, "a refused submission must not leave a live op");
         assert!(eng.trace().is_empty(), "a refused submission must leave no trace");
     }
@@ -124,6 +131,43 @@ fn refused_recovering_submission_leaves_no_live_op() {
     assert_eq!(id.raw(), 0, "refused submissions consume no ids");
     eng.run(&mut m);
     assert!(matches!(eng.take_outcome(id), Some(Ok(OpOutcome::Reliable(_)))));
+}
+
+/// The recovery budget counts executions: `max_attempts: 3` into a
+/// receiver that is dark for the whole run runs the transfer exactly
+/// three times — two `Recovering` parks, each followed by its
+/// re-execution's `Started` after `backoff(0)` and then `backoff(1)`
+/// cycles — and then surfaces the retryable error.
+#[test]
+fn recovery_budget_counts_executions_and_indexes_backoff_from_zero() {
+    let mut m = machine("switched", &crash(n(9), 0, u64::MAX), 1);
+    let data = payloads::mixed(64, 5);
+    let protocol = RecoveryPolicy { max_attempts: 2, base_wait: 256, ..RecoveryPolicy::default() };
+    let recovery = RecoveryPolicy { max_attempts: 3, jitter: 0, ..RecoveryPolicy::default() };
+    let mut eng = Engine::new();
+    let op =
+        eng.submit(&m, Op::reliable(n(2), n(9), &data, &protocol).recovering(&recovery)).unwrap();
+    eng.run(&mut m);
+    let at = |event: EngineEvent| -> Vec<u64> {
+        eng.trace().iter().filter(|e| e.event == event).map(|e| e.at).collect()
+    };
+    let parked = at(EngineEvent::Recovering(op));
+    let started = at(EngineEvent::Started(op));
+    assert_eq!(started.len(), 3, "exactly three executions");
+    assert_eq!(parked.len(), 2, "two re-executions");
+    assert_eq!(eng.recovery_executions(op), 2);
+    for k in 0..2 {
+        assert_eq!(
+            started[k + 1] - parked[k],
+            recovery.backoff(k as u32),
+            "re-execution {} starts backoff({k}) cycles after its park",
+            k + 1
+        );
+    }
+    match eng.take_outcome(op) {
+        Some(Err(e)) => assert!(e.is_retryable(), "budget spent: {e:?} surfaces"),
+        other => panic!("a transfer into a dead node must fail, got {other:?}"),
+    }
 }
 
 /// A `SessionReset` is recovered *inside* the engine: one submission,
@@ -141,7 +185,7 @@ fn session_reset_recovers_inside_the_engine() {
         let op = eng
             .submit(
                 &m,
-                Op::reliable(n(2), n(9), &data, &RetryPolicy::default())
+                Op::reliable(n(2), n(9), &data, &RecoveryPolicy::retransmit())
                     .recovering(&RecoveryPolicy::default()),
             )
             .unwrap();
@@ -176,7 +220,7 @@ fn session_reset_recovers_inside_the_engine() {
 /// `DependencyFailed`.
 #[test]
 fn mid_dag_predecessor_recovers_and_releases_dependents() {
-    let policy = RetryPolicy::default();
+    let policy = RecoveryPolicy::retransmit();
     let data_a = payloads::mixed(256, 7);
     let data_b = payloads::mixed(64, 8);
     let mut recovered = 0;
@@ -236,7 +280,7 @@ fn clean_recovering_runs_bill_identical_to_non_recovering() {
             }
         }
     };
-    let policy = RetryPolicy::default();
+    let policy = RecoveryPolicy::retransmit();
     let recovery = RecoveryPolicy::default();
 
     // Reliable transfer.
@@ -246,7 +290,7 @@ fn clean_recovering_runs_bill_identical_to_non_recovering() {
     plain.xfer_reliable(n(2), n(9), &data, &policy).unwrap();
     let mut rec = machine("switched", &clean, 11);
     rec.reset_costs();
-    let (_, re) = rec.xfer_reliable_recovering(n(2), n(9), &data, &policy).unwrap();
+    let (_, re) = rec.run(Op::reliable(n(2), n(9), &data, &policy).recovering(&policy)).unwrap();
     assert_eq!(re, 0, "clean run must not re-execute");
     assert_identical(&plain, &rec, "xfer_reliable");
 
@@ -258,7 +302,7 @@ fn clean_recovering_runs_bill_identical_to_non_recovering() {
     let mut rec = machine("switched", &clean, 12);
     let id = rec.open_stream(n(3), n(9), StreamConfig::default());
     rec.reset_costs();
-    let (_, re) = rec.stream_send_recovering(id, &data, &recovery).unwrap();
+    let (_, re) = rec.run(Op::stream(id, &data).recovering(&recovery)).unwrap();
     assert_eq!(re, 0, "clean run must not re-execute");
     assert_identical(&plain, &rec, "stream_send");
 
@@ -266,12 +310,13 @@ fn clean_recovering_runs_bill_identical_to_non_recovering() {
     let mut plain = machine("switched", &clean, 13);
     plain.register_rpc_handler(n(11), 40, |_, msg| [msg.words[0] + 1, 0, 0, 0]);
     plain.reset_costs();
-    plain.rpc_call_retrying(n(4), n(11), 40, [7, 0, 0, 0], &policy).unwrap();
+    plain.rpc_call(n(4), n(11), 40, [7, 0, 0, 0], Some(&policy)).unwrap();
     let mut rec = machine("switched", &clean, 13);
     rec.register_rpc_handler(n(11), 40, |_, msg| [msg.words[0] + 1, 0, 0, 0]);
     rec.reset_costs();
-    let (reply, re) = rec.rpc_call_recovering(n(4), n(11), 40, [7, 0, 0, 0], &policy, &recovery).unwrap();
-    assert_eq!(reply, [8, 0, 0, 0]);
+    let s = Op::rpc(n(4), n(11), 40, [7, 0, 0, 0], Some(&policy)).recovering(&recovery);
+    let (reply, re) = rec.run(s).unwrap();
+    assert_eq!(reply, OpOutcome::Rpc([8, 0, 0, 0]));
     assert_eq!(re, 0, "clean run must not re-execute");
     assert_identical(&plain, &rec, "rpc_call");
 
@@ -281,10 +326,10 @@ fn clean_recovering_runs_bill_identical_to_non_recovering() {
     };
     let mut plain = table();
     plain.reset_costs();
-    collectives::broadcast(&mut plain, n(0), [5; 4]).unwrap();
+    collectives::broadcast(&mut plain, n(0), [5; 4], None).unwrap();
     let mut rec = table();
     rec.reset_costs();
-    let (seen, re) = collectives::broadcast_recovering(&mut rec, n(0), [5; 4], &recovery).unwrap();
+    let (seen, re) = collectives::broadcast(&mut rec, n(0), [5; 4], Some(&recovery)).unwrap();
     assert!(seen.iter().all(|v| *v == [5; 4]));
     assert_eq!(re, 0, "clean run must not re-execute");
     assert_identical(&plain, &rec, "broadcast");
@@ -295,10 +340,10 @@ fn clean_recovering_runs_bill_identical_to_non_recovering() {
     let inputs: Vec<u32> = (0..NODES as u32).collect();
     let mut plain = table();
     plain.reset_costs();
-    collectives::allreduce_sum(&mut plain, &inputs).unwrap();
+    collectives::allreduce_sum(&mut plain, &inputs, None).unwrap();
     let mut rec = table();
     rec.reset_costs();
-    let (sums, re) = collectives::allreduce_sum_recovering(&mut rec, &inputs, &recovery).unwrap();
+    let (sums, re) = collectives::allreduce_sum(&mut rec, &inputs, Some(&recovery)).unwrap();
     assert_eq!(sums, vec![120; NODES]);
     assert_eq!(re, 0, "clean run must not re-execute");
     assert_identical(&plain, &rec, "allreduce");
@@ -321,7 +366,7 @@ fn stream_crash_recovery_is_exactly_once_and_byte_exact() {
         let id = m.open_stream(n(3), n(9), StreamConfig::default());
         m.reset_costs();
         let (_, re) = m
-            .stream_send_recovering(id, &data, &RecoveryPolicy::default())
+            .run(Op::stream(id, &data).recovering(&RecoveryPolicy::default()))
             .unwrap_or_else(|e| panic!("seed {seed}: stream recovery must converge: {e}"));
         assert_eq!(
             m.stream_received(id),
@@ -350,7 +395,7 @@ fn rpc_recovery_is_exactly_once_via_reply_cache() {
     const CALLS: u32 = 8;
     // An inner budget small enough that drop-heavy faults exhaust it
     // and force engine-level re-execution.
-    let inner = RetryPolicy { max_attempts: 2, base_wait: 256, ..RetryPolicy::default() };
+    let inner = RecoveryPolicy { max_attempts: 2, base_wait: 256, ..RecoveryPolicy::default() };
     let recovery = RecoveryPolicy::default();
     let fault = FaultConfig { drop_prob: 0.25, ..FaultConfig::default() };
     let mut re_executed = 0;
@@ -363,10 +408,10 @@ fn rpc_recovery_is_exactly_once_via_reply_cache() {
             [msg.words[0] * 3, 0, 0, 0]
         });
         for v in 0..CALLS {
-            let (reply, re) = m
-                .rpc_call_recovering(n(4), n(11), 40, [v, 0, 0, 0], &inner, &recovery)
-                .unwrap_or_else(|e| panic!("seed {seed} call {v}: {e}"));
-            assert_eq!(reply[0], v * 3, "seed {seed} call {v}");
+            let s = Op::rpc(n(4), n(11), 40, [v, 0, 0, 0], Some(&inner)).recovering(&recovery);
+            let (reply, re) =
+                m.run(s).unwrap_or_else(|e| panic!("seed {seed} call {v}: {e}"));
+            assert_eq!(reply, OpOutcome::Rpc([v * 3, 0, 0, 0]), "seed {seed} call {v}");
             re_executed += re;
         }
         assert_eq!(
@@ -388,7 +433,7 @@ fn collectives_survive_node_crash_restart() {
     let mut recovered = 0;
     for seed in 0..3u64 {
         let mut m = machine("switched", &crash(n(5), 10, 2500), seed);
-        let (seen, re) = collectives::broadcast_recovering(&mut m, n(0), [9, 9, 9, 9], &recovery)
+        let (seen, re) = collectives::broadcast(&mut m, n(0), [9, 9, 9, 9], Some(&recovery))
             .unwrap_or_else(|e| panic!("seed {seed}: broadcast must survive the crash: {e}"));
         assert!(
             seen.iter().all(|v| *v == [9, 9, 9, 9]),
@@ -398,7 +443,7 @@ fn collectives_survive_node_crash_restart() {
 
         let mut m = machine("switched", &crash(n(5), 10, 2500), seed);
         let inputs: Vec<u32> = (1..=NODES as u32).collect();
-        let (sums, re) = collectives::allreduce_sum_recovering(&mut m, &inputs, &recovery)
+        let (sums, re) = collectives::allreduce_sum(&mut m, &inputs, Some(&recovery))
             .unwrap_or_else(|e| panic!("seed {seed}: all-reduce must survive the crash: {e}"));
         assert_eq!(sums, vec![136; NODES], "seed {seed}: every node must hold the global sum");
         recovered += re;
@@ -434,7 +479,7 @@ fn sender_crash_cycles_leave_no_residual_receiver_state() {
         *runs2.borrow_mut() += 1;
         [msg.words[0], 0, 0, 0]
     });
-    let policy = RetryPolicy::default();
+    let policy = RecoveryPolicy::retransmit();
     let recovery = RecoveryPolicy::default();
     let data = payloads::mixed(256, 9);
     let mut max_sessions = 0usize;
@@ -448,9 +493,11 @@ fn sender_crash_cycles_leave_no_residual_receiver_state() {
             m.advance(base - now);
         }
         // Sender n(2) crashes mid-transfer; the engine recovers.
-        let (out, re) = m
-            .xfer_reliable_recovering(n(2), n(9), &data, &policy)
-            .unwrap_or_else(|e| panic!("cycle {k}: recovery must converge: {e}"));
+        let s = Op::reliable(n(2), n(9), &data, &policy).recovering(&policy);
+        let (out, re) = match m.run(s) {
+            Ok((OpOutcome::Reliable(out), re)) => (out, re),
+            other => panic!("cycle {k}: recovery must converge: {other:?}"),
+        };
         assert_eq!(
             m.read_buffer(n(9), out.xfer.dst_buffer, data.len()),
             data,
@@ -458,10 +505,9 @@ fn sender_crash_cycles_leave_no_residual_receiver_state() {
         );
         recovered += re;
         // An RPC each cycle keeps the reply cache in play.
-        let (reply, _) = m
-            .rpc_call_recovering(n(4), n(11), 40, [k as u32, 0, 0, 0], &policy, &recovery)
-            .unwrap_or_else(|e| panic!("cycle {k}: rpc must complete: {e}"));
-        assert_eq!(reply[0], k as u32);
+        let s = Op::rpc(n(4), n(11), 40, [k as u32, 0, 0, 0], Some(&policy)).recovering(&recovery);
+        let (reply, _) = m.run(s).unwrap_or_else(|e| panic!("cycle {k}: rpc must complete: {e}"));
+        assert_eq!(reply, OpOutcome::Rpc([k as u32, 0, 0, 0]));
 
         max_sessions = max_sessions.max(m.open_sessions());
         max_replies = max_replies.max(m.reply_cache_len());
@@ -498,7 +544,7 @@ fn sender_crash_cycles_leave_no_residual_receiver_state() {
 /// records the uniform `Cancelled` trace event for each.
 #[test]
 fn quiesce_settles_parked_and_held_ops_with_uniform_events() {
-    let policy = RetryPolicy::default();
+    let policy = RecoveryPolicy::retransmit();
     let data = payloads::mixed(256, 4);
     // A short crash window fells the recovering op early; a long outage
     // on an unrelated node keeps a third op running so the scheduler
@@ -521,7 +567,7 @@ fn quiesce_settles_parked_and_held_ops_with_uniform_events() {
     let held = eng
         .submit(&m, Op::reliable(n(9), n(12), &data, &policy).after(&[parked]))
         .unwrap();
-    let patient = RetryPolicy { max_attempts: 4, base_wait: 512, ..RetryPolicy::default() };
+    let patient = RecoveryPolicy { max_attempts: 4, base_wait: 512, ..RecoveryPolicy::default() };
     let busy = eng.submit(&m, Op::reliable(n(3), n(14), &data, &patient)).unwrap();
     // Pump until the crash fells the first execution and the engine
     // parks the op for its backoff window.
@@ -571,7 +617,7 @@ fn composed_fault_matrix_stays_exact_and_bounded() {
             },
         ),
     ];
-    let inner = RetryPolicy { max_attempts: 3, base_wait: 512, ..RetryPolicy::default() };
+    let inner = RecoveryPolicy { max_attempts: 3, base_wait: 512, ..RecoveryPolicy::default() };
     let recovery = RecoveryPolicy::default();
     let data = payloads::mixed(128, 17);
     let mut recovered = 0u32;
@@ -592,9 +638,11 @@ fn composed_fault_matrix_stays_exact_and_bounded() {
                 });
 
                 // Reliable transfer into the crashing node.
-                let (out, re) = m
-                    .xfer_reliable_recovering(n(2), n(9), &data, &inner)
-                    .unwrap_or_else(|e| panic!("{ctx}: xfer: {e}"));
+                let s = Op::reliable(n(2), n(9), &data, &inner).recovering(&inner);
+                let (out, re) = match m.run(s) {
+                    Ok((OpOutcome::Reliable(out), re)) => (out, re),
+                    other => panic!("{ctx}: xfer must converge: {other:?}"),
+                };
                 assert_eq!(
                     m.read_buffer(n(9), out.xfer.dst_buffer, data.len()),
                     data,
@@ -605,7 +653,7 @@ fn composed_fault_matrix_stays_exact_and_bounded() {
                 // Stream into the crashing node.
                 let id = m.open_stream(n(3), n(9), StreamConfig::default());
                 let (_, re) = m
-                    .stream_send_recovering(id, &data, &recovery)
+                    .run(Op::stream(id, &data).recovering(&recovery))
                     .unwrap_or_else(|e| panic!("{ctx}: stream: {e}"));
                 assert_eq!(m.stream_received(id), &data[..], "{ctx}: stream exactly-once");
                 recovered += re;
@@ -613,10 +661,11 @@ fn composed_fault_matrix_stays_exact_and_bounded() {
                 // RPCs to the outage-affected node: exactly-once via the
                 // reply cache.
                 for v in 0..3u32 {
-                    let (reply, re) = m
-                        .rpc_call_recovering(n(4), n(12), 40, [v, 0, 0, 0], &inner, &recovery)
-                        .unwrap_or_else(|e| panic!("{ctx}: rpc {v}: {e}"));
-                    assert_eq!(reply[0], v ^ 0xbeef, "{ctx}: rpc {v}");
+                    let s = Op::rpc(n(4), n(12), 40, [v, 0, 0, 0], Some(&inner))
+                        .recovering(&recovery);
+                    let (reply, re) =
+                        m.run(s).unwrap_or_else(|e| panic!("{ctx}: rpc {v}: {e}"));
+                    assert_eq!(reply, OpOutcome::Rpc([v ^ 0xbeef, 0, 0, 0]), "{ctx}: rpc {v}");
                     recovered += re;
                 }
                 assert_eq!(*runs.borrow(), 3, "{ctx}: handler exactly once per call");

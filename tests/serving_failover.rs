@@ -22,7 +22,7 @@
 //!   neither panics nor routes to the retiree (the satellite-3
 //!   `remove_server` fix, exercised end to end).
 
-use timego_am::{RecoveryPolicy, RetryPolicy};
+use timego_am::RecoveryPolicy;
 use timego_netsim::{CrashWindow, FaultConfig, NodeId};
 use timego_workloads::service::{
     run_service, serving_machine, serving_machine_chaos, AdmissionWindow, BalancerPolicy,
@@ -56,7 +56,7 @@ fn hedged_class() -> QosClass {
         work: 4,
         deadline: None,
         recovery: Some(RecoveryPolicy::default()),
-        retry: RetryPolicy::default(),
+        retry: RecoveryPolicy::retransmit(),
         hedge: true,
         sheddable: true,
         retry_budget: None,
@@ -258,7 +258,7 @@ fn losing_most_of_the_pool_trips_the_brownout_breaker() {
         work: 4,
         deadline: None,
         recovery: Some(RecoveryPolicy::default()),
-        retry: RetryPolicy::default(),
+        retry: RecoveryPolicy::retransmit(),
         hedge: false,
         sheddable: false,
         retry_budget: None,
