@@ -15,18 +15,17 @@
 //! * wake/jump counters (timer wakes, packet wakes, idle clock-jumps).
 //!
 //! A second, *parallel* report drives the same permutation plan over
-//! the sharded substrate (`ShardedNetwork`, 4 shards) at several thread
-//! counts, recording packets/sec, the substrate-step phase share, and
-//! the speedup against the flat (unsharded) substrate under
-//! `sched/parallel/`. Each thread count is asserted to produce the
-//! identical step count, simulated-cycle count, and delivery total —
-//! the bench doubles as a determinism check.
+//! the flat substrate and the sharded substrate (`ShardedNetwork`, 4
+//! shards), recording packets/sec, the substrate-step phase share,
+//! elapsed cycles, and the wall ratio against the flat run under
+//! `sched/parallel/`. The shard count is a model parameter: the two
+//! rows simulate different machines (boundary queues replace tree
+//! hops), so the wall ratio compares two models, not two ways of
+//! running one, and the report prints both cycle counts beside it.
 //!
 //! Everything lands in `BENCH_results.json` under `sched/`. Flags:
 //!
 //! * `--quick`: cap the sweep at 1024 nodes (CI-friendly);
-//! * `--threads N`: sweep the parallel report over thread counts
-//!   `{1, N}` instead of the default `{1, 2, 4}`;
 //! * `--perf-smoke`: run only the 1024-node permutation cell in event
 //!   mode and fail (exit 1) if its deterministic step count regresses
 //!   more than 2x against the committed baseline.
@@ -175,16 +174,14 @@ fn phase_share_milli(phases: &[(&'static str, u64)], name: &str) -> u64 {
 
 const PARALLEL_SHARDS: usize = 4;
 
-/// The shard-scaling report: the permutation plan on the flat substrate
-/// vs the 4-shard sharded substrate at each thread count. Thread counts
-/// must not change results, so the report asserts step counts, elapsed
-/// cycles, and delivery totals identical across the sweep — every
-/// benchmark run is also a determinism soak.
-fn parallel_report(res: &mut BenchResults, quick: bool, threads: &[usize]) {
+/// The shard report: the permutation plan on the flat substrate vs the
+/// 4-shard substrate. Sharding changes the simulated machine, so the
+/// report prints both elapsed-cycle counts next to the wall ratio.
+fn parallel_report(res: &mut BenchResults, quick: bool) {
     let node_counts: &[usize] = if quick { &[1024] } else { &[4096, 8192, 16384] };
     println!(
-        "\n{:<26} {:>10} {:>10} {:>8} {:>10}",
-        "parallel cell", "evt steps", "pkt/s", "vs flat", "substrate"
+        "\n{:<26} {:>10} {:>10} {:>8} {:>9} {:>10}",
+        "parallel cell", "evt steps", "pkt/s", "cycles", "wall/flat", "substrate"
     );
     for &nodes in node_counts {
         let plan = plan_for(Pattern::RandomPermutation(SEED), nodes);
@@ -195,11 +192,12 @@ fn parallel_report(res: &mut BenchResults, quick: bool, threads: &[usize]) {
         assert_eq!(flat.steps, flat_prof.steps, "profiling must not change scheduling");
         let flat_sub = phase_share_milli(&flat_prof.phases, "substrate_step");
         println!(
-            "{:<26} {:>10} {:>10} {:>7}x {:>8}.{:01}%",
+            "{:<26} {:>10} {:>10} {:>8} {:>9} {:>8}.{:01}%",
             format!("perm/n{nodes}/flat"),
             flat.steps,
             pkts_per_sec(&flat),
-            "1.0",
+            flat.elapsed_cycles,
+            "1.0x",
             flat_sub / 10,
             flat_sub % 10,
         );
@@ -209,48 +207,37 @@ fn parallel_report(res: &mut BenchResults, quick: bool, threads: &[usize]) {
         res.record_count(&cell("flat/substrate_step_share_milli"), flat_sub);
         res.record_cycles(&cell("flat/elapsed_cycles"), flat.elapsed_cycles);
 
-        let mut pinned: Option<(u64, u64, u64)> = None;
-        for &t in threads {
-            let sharded = |profile| {
-                drive_net(
-                    share(scenarios::cm5_sharded(nodes, PARALLEL_SHARDS, t, SEED)),
-                    SchedMode::EventDriven,
-                    &plan,
-                    nodes,
-                    profile,
-                )
-            };
-            let run = sharded(false);
-            let prof = sharded(true);
-            assert_eq!(run.steps, prof.steps, "profiling must not change scheduling");
-            let signature = (run.steps, run.elapsed_cycles, run.delivered);
-            match pinned {
-                None => pinned = Some(signature),
-                Some(expect) => assert_eq!(
-                    signature, expect,
-                    "thread count changed results at {nodes} nodes, {t} threads"
-                ),
-            }
-            let sub = phase_share_milli(&prof.phases, "substrate_step");
-            let speedup_milli =
-                (flat.wall_ns * 1000).checked_div(run.wall_ns).unwrap_or(0) as u64;
-            println!(
-                "{:<26} {:>10} {:>10} {:>6}.{:01}x {:>8}.{:01}%",
-                format!("perm/n{nodes}/s{PARALLEL_SHARDS}t{t}"),
-                run.steps,
-                pkts_per_sec(&run),
-                speedup_milli / 1000,
-                (speedup_milli % 1000) / 100,
-                sub / 10,
-                sub % 10,
-            );
-            res.record_count(&cell(&format!("t{t}/event_steps")), run.steps);
-            res.record_wall(&cell(&format!("t{t}/event_wall")), run.wall_ns);
-            res.record_count(&cell(&format!("t{t}/event_packets_per_sec")), pkts_per_sec(&run));
-            res.record_count(&cell(&format!("t{t}/substrate_step_share_milli")), sub);
-            res.record_count(&cell(&format!("t{t}/speedup_vs_flat_milli")), speedup_milli);
-            res.record_cycles(&cell(&format!("t{t}/elapsed_cycles")), run.elapsed_cycles);
-        }
+        let sharded = |profile| {
+            drive_net(
+                share(scenarios::cm5_sharded(nodes, PARALLEL_SHARDS, 1, SEED)),
+                SchedMode::EventDriven,
+                &plan,
+                nodes,
+                profile,
+            )
+        };
+        let run = sharded(false);
+        let prof = sharded(true);
+        assert_eq!(run.steps, prof.steps, "profiling must not change scheduling");
+        let sub = phase_share_milli(&prof.phases, "substrate_step");
+        let ratio_milli = (flat.wall_ns * 1000).checked_div(run.wall_ns).unwrap_or(0) as u64;
+        println!(
+            "{:<26} {:>10} {:>10} {:>8} {:>6}.{:01}x {:>8}.{:01}%",
+            format!("perm/n{nodes}/s{PARALLEL_SHARDS}"),
+            run.steps,
+            pkts_per_sec(&run),
+            run.elapsed_cycles,
+            ratio_milli / 1000,
+            (ratio_milli % 1000) / 100,
+            sub / 10,
+            sub % 10,
+        );
+        res.record_count(&cell("sharded/event_steps"), run.steps);
+        res.record_wall(&cell("sharded/event_wall"), run.wall_ns);
+        res.record_count(&cell("sharded/event_packets_per_sec"), pkts_per_sec(&run));
+        res.record_count(&cell("sharded/substrate_step_share_milli"), sub);
+        res.record_count(&cell("sharded/wall_ratio_vs_flat_milli"), ratio_milli);
+        res.record_cycles(&cell("sharded/elapsed_cycles"), run.elapsed_cycles);
     }
 }
 
@@ -260,15 +247,6 @@ fn main() {
         std::process::exit(perf_smoke());
     }
     let quick = args.iter().any(|a| a == "--quick");
-    let threads_flag: Option<usize> = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--threads takes a positive integer"));
-    let thread_sweep: Vec<usize> = match threads_flag {
-        Some(1) | None => vec![1, 2, 4],
-        Some(n) => vec![1, n],
-    };
     let max_nodes = if quick { 1024 } else { 4096 };
 
     let mut res = BenchResults::new("sched/");
@@ -324,7 +302,7 @@ fn main() {
         }
     }
 
-    parallel_report(&mut res, quick, &thread_sweep);
+    parallel_report(&mut res, quick);
 
     let path = BenchResults::default_path();
     match res.write_merged(&path) {

@@ -2,7 +2,7 @@
 //! policies, with per-class tail latency and per-class "where does the
 //! time go" bills, plus a goodput-under-overload curve.
 //!
-//! Two reports, both on the PR 8 sharded substrate:
+//! Two reports, both on the sharded substrate:
 //!
 //! * **Policy sweep** — two open-loop QoS populations (a
 //!   deadline-supervised `interactive` class and a recovery-armed
@@ -10,9 +10,8 @@
 //!   (512 under `--quick`) once per balancer policy. Each cell records
 //!   per-class p50/p99/p999 completion times and the Table-1-style
 //!   per-feature instruction breakdown split by class. The round-robin
-//!   cell re-runs at several substrate worker-thread counts and asserts
-//!   the full [`ServiceOutcome::signature`] identical — the bench
-//!   doubles as a determinism soak.
+//!   cell also records the low 32 bits of its
+//!   [`ServiceOutcome::signature`].
 //! * **Overload sweep** — a deliberately small pool swept from light
 //!   load to several times past its admission knee. Past the knee the
 //!   gateway sheds (billed to `FaultTol`) and goodput holds within a
@@ -27,8 +26,7 @@
 //!   within 10% of the clean run while the detector-off baseline
 //!   measurably degrades, hedged p999 beats unhedged, every cell
 //!   (except the budget one, whose denials settle requests without a
-//!   handler run) is exactly-once, and the full-domain cell's
-//!   signature is thread-invariant.
+//!   handler run) is exactly-once.
 //! * **Admission sweep** (`--chaos`) — per-gateway vs tier-global
 //!   admission windows at the same total bound: un-shared counters
 //!   shed more because a hot gateway can't borrow a cold one's room.
@@ -36,8 +34,6 @@
 //! Everything lands in `BENCH_results.json` under `serving/`. Flags:
 //!
 //! * `--quick`: small node counts and populations (CI-friendly);
-//! * `--threads N`: determinism sweep over `{1, N}` instead of
-//!   `{1, 2, 4}`;
 //! * `--chaos`: also run the failover and admission-window sweeps.
 
 use std::time::Instant;
@@ -94,8 +90,8 @@ fn policy_spec(s: &Sized, policy: BalancerPolicy) -> ServiceSpec {
     }
 }
 
-fn drive(spec: &ServiceSpec, nodes: usize, shards: usize, threads: usize) -> (ServiceOutcome, u128) {
-    let mut m = serving_machine(nodes, shards, threads, SEED);
+fn drive(spec: &ServiceSpec, nodes: usize, shards: usize) -> (ServiceOutcome, u128) {
+    let mut m = serving_machine(nodes, shards, SEED);
     let wall = Instant::now();
     let out = run_service(&mut m, spec);
     (out, wall.elapsed().as_nanos())
@@ -156,7 +152,7 @@ fn print_class(policy: &str, c: &ClassOutcome) {
     );
 }
 
-fn policy_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
+fn policy_sweep(res: &mut BenchResults, quick: bool) {
     let s = policy_sizing(quick);
     let policies = [
         BalancerPolicy::RoundRobin,
@@ -174,7 +170,7 @@ fn policy_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
     );
     for policy in policies {
         let spec = policy_spec(&s, policy);
-        let (out, wall_ns) = drive(&spec, s.nodes, s.shards, 1);
+        let (out, wall_ns) = drive(&spec, s.nodes, s.shards);
         let cell = format!("policy/{}/n{}", policy.name(), s.nodes);
         assert_eq!(out.in_flight_at_end, 0, "serving run must drain");
         for c in &out.classes {
@@ -191,22 +187,8 @@ fn policy_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
         );
         res.record_wall(&format!("{cell}/wall"), wall_ns);
 
-        // The determinism soak rides the round-robin cell: the same
-        // spec at every worker-thread count must produce the identical
-        // outcome signature, bills and histograms included.
         if policy == BalancerPolicy::RoundRobin {
-            let pinned = out.signature();
-            res.record_count(&format!("{cell}/signature_lo32"), pinned & 0xffff_ffff);
-            for &t in threads {
-                let (run, t_wall) = drive(&spec, s.nodes, s.shards, t);
-                assert_eq!(
-                    run.signature(),
-                    pinned,
-                    "worker-thread count {t} changed the serving outcome"
-                );
-                println!("  t{t}: signature ok ({:.2}s)", t_wall as f64 / 1e9);
-                res.record_wall(&format!("{cell}/t{t}/wall"), t_wall);
-            }
+            res.record_count(&format!("{cell}/signature_lo32"), out.signature() & 0xffff_ffff);
         }
     }
 
@@ -218,7 +200,7 @@ fn policy_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
     let spares = range(s.gateways + s.servers, s.servers / 4);
     spec.migration =
         Some(Migration { at: 0.5, retire: s.servers / 4, recruit: spares });
-    let (out, wall_ns) = drive(&spec, s.nodes, s.shards, 1);
+    let (out, wall_ns) = drive(&spec, s.nodes, s.shards);
     let cell = format!("migration/consistent_hash/n{}", s.nodes);
     assert_eq!(out.in_flight_at_end, 0);
     for c in &out.classes {
@@ -254,7 +236,7 @@ pub fn overload_points(quick: bool) -> Vec<(u64, ServiceOutcome)> {
                 seed: SEED,
                 ..ServiceSpec::default()
             };
-            let mut m = serving_machine(nodes, shards, 1, SEED);
+            let mut m = serving_machine(nodes, shards, SEED);
             (interval, run_service(&mut m, &spec))
         })
         .collect()
@@ -384,11 +366,10 @@ fn drive_failover(
     spec: &ServiceSpec,
     s: &FailoverSized,
     fault: Option<&FaultConfig>,
-    threads: usize,
 ) -> (ServiceOutcome, u128) {
     let mut m = match fault {
-        Some(f) => serving_machine_chaos(s.nodes, s.shards, threads, f.clone(), SEED),
-        None => serving_machine(s.nodes, s.shards, threads, SEED),
+        Some(f) => serving_machine_chaos(s.nodes, s.shards, f.clone(), SEED),
+        None => serving_machine(s.nodes, s.shards, SEED),
     };
     let wall = Instant::now();
     let out = run_service(&mut m, spec);
@@ -453,7 +434,7 @@ fn print_failover(cell: &str, out: &ServiceOutcome) {
     );
 }
 
-fn failover_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
+fn failover_sweep(res: &mut BenchResults, quick: bool) {
     let s = failover_sizing(quick);
     let fault = failover_fault(&s);
     println!(
@@ -470,7 +451,7 @@ fn failover_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
     );
 
     // Clean reference: failure domain armed, nothing fails.
-    let (clean, clean_wall) = drive_failover(&failover_spec(&s, true, true), &s, None, 1);
+    let (clean, clean_wall) = drive_failover(&failover_spec(&s, true, true), &s, None);
     print_failover("clean", &clean);
     record_failover(res, "failover/clean", &clean, clean_wall);
     assert_exactly_once("failover/clean", &clean);
@@ -479,14 +460,14 @@ fn failover_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
     // Detector-off baseline: the balancer keeps routing at the corpse
     // and stuck requests pile into the admission window.
     let (base, base_wall) =
-        drive_failover(&failover_spec(&s, false, false), &s, Some(&fault), 1);
+        drive_failover(&failover_spec(&s, false, false), &s, Some(&fault));
     print_failover("crash_baseline", &base);
     record_failover(res, "failover/crash_baseline", &base, base_wall);
     assert_exactly_once("failover/crash_baseline", &base);
 
     // Detector only: routing reacts within ~2 probe periods, but
     // requests already stuck on the corpse wait out its restart.
-    let (det, det_wall) = drive_failover(&failover_spec(&s, true, false), &s, Some(&fault), 1);
+    let (det, det_wall) = drive_failover(&failover_spec(&s, true, false), &s, Some(&fault));
     print_failover("crash_detector", &det);
     record_failover(res, "failover/crash_detector", &det, det_wall);
     assert_exactly_once("failover/crash_detector", &det);
@@ -496,7 +477,7 @@ fn failover_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
     // Detector + hedging: stuck requests get a second leg on a healthy
     // server — the tentpole's acceptance cell.
     let (hedged, hedged_wall) =
-        drive_failover(&failover_spec(&s, true, true), &s, Some(&fault), 1);
+        drive_failover(&failover_spec(&s, true, true), &s, Some(&fault));
     print_failover("crash_detector_hedged", &hedged);
     record_failover(res, "failover/crash_detector_hedged", &hedged, hedged_wall);
     assert_exactly_once("failover/crash_detector_hedged", &hedged);
@@ -533,22 +514,10 @@ fn failover_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
         (g_hedged / g_clean * 1000.0) as u64,
     );
 
-    // Thread-invariance soak on the full failure domain: crash windows,
-    // ejections, hedge races, and reinstatements — same signature at
-    // every worker-thread count.
-    let pinned = hedged.signature();
-    res.record_count("failover/crash_detector_hedged/signature_lo32", pinned & 0xffff_ffff);
-    for &t in threads {
-        let (run, t_wall) =
-            drive_failover(&failover_spec(&s, true, true), &s, Some(&fault), t);
-        assert_eq!(
-            run.signature(),
-            pinned,
-            "worker-thread count {t} changed the failover outcome"
-        );
-        println!("  t{t}: signature ok ({:.2}s)", t_wall as f64 / 1e9);
-        res.record_wall(&format!("failover/crash_detector_hedged/t{t}/wall"), t_wall);
-    }
+    res.record_count(
+        "failover/crash_detector_hedged/signature_lo32",
+        hedged.signature() & 0xffff_ffff,
+    );
 
     // Retry-budget cell: a near-dry bucket caps the crash's recovery
     // amplification. Hedging stays off — hedge legs rescue stuck
@@ -559,7 +528,7 @@ fn failover_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
     let mut spec = failover_spec(&s, true, false);
     spec.classes[0].retry_budget =
         Some(RetryBudget { capacity: 2, refill_milli_per_kcycle: 0 });
-    let (budget, budget_wall) = drive_failover(&spec, &s, Some(&fault), 1);
+    let (budget, budget_wall) = drive_failover(&spec, &s, Some(&fault));
     print_failover("budget_capped", &budget);
     record_failover(res, "failover/budget_capped", &budget, budget_wall);
     assert!(
@@ -588,7 +557,7 @@ fn failover_sweep(res: &mut BenchResults, quick: bool, threads: &[usize]) {
     };
     let mut spec = failover_spec(&s, true, true);
     spec.breaker = Some(BreakerSpec { min_healthy_milli: 500 });
-    let (brown, brown_wall) = drive_failover(&spec, &s, Some(&brown_fault), 1);
+    let (brown, brown_wall) = drive_failover(&spec, &s, Some(&brown_fault));
     print_failover("brownout_breaker", &brown);
     record_failover(res, "failover/brownout_breaker", &brown, brown_wall);
     assert_exactly_once("failover/brownout_breaker", &brown);
@@ -629,7 +598,7 @@ fn admission_sweep(res: &mut BenchResults, quick: bool) {
             seed: SEED,
             ..ServiceSpec::default()
         };
-        let mut m = serving_machine(nodes, shards, 1, SEED);
+        let mut m = serving_machine(nodes, shards, SEED);
         let wall = Instant::now();
         let out = run_service(&mut m, &spec);
         let wall_ns = wall.elapsed().as_nanos();
@@ -678,23 +647,13 @@ fn admission_sweep(res: &mut BenchResults, quick: bool) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let threads_flag: Option<usize> = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--threads takes a positive integer"));
-    let thread_sweep: Vec<usize> = match threads_flag {
-        Some(1) | None => vec![2, 4],
-        Some(t) => vec![t],
-    };
-
     let chaos = args.iter().any(|a| a == "--chaos");
 
     let mut res = BenchResults::new("serving/");
-    policy_sweep(&mut res, quick, &thread_sweep);
+    policy_sweep(&mut res, quick);
     overload_sweep(&mut res, quick);
     if chaos {
-        failover_sweep(&mut res, quick, &thread_sweep);
+        failover_sweep(&mut res, quick);
         admission_sweep(&mut res, quick);
     }
 

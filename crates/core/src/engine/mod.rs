@@ -25,23 +25,18 @@
 //! …) are now thin run-to-completion wrappers over the engine and stay
 //! cost-identical per feature — the paper's tables regenerate exactly.
 //!
-//! ## The substrate may be parallel; the engine stays sequential
+//! ## The substrate may be sharded; the engine is unchanged
 //!
 //! The engine is single-threaded by design: one thread owns the
 //! machine, steps operations, and calls `advance` on the shared
-//! substrate handle. That remains true when the substrate is the
-//! parallel sharded network
-//! ([`ShardedNetwork`](timego_netsim::ShardedNetwork)) — the network
-//! steps its shards on an internal worker pool *inside* `advance`,
-//! then presents merged wakes in ascending node-id order and reduced
-//! statistics, so from here it is indistinguishable from a
-//! single-threaded substrate. Nothing in the pump changes: injections
-//! happen between advances (which is exactly the property the sharded
-//! substrate's determinism argument rests on), `take_delivered` feeds
-//! [`absorb_wakes`](Engine) the same byte-identical sequence at every
-//! worker-thread count, and idle clock-jumps hand the substrate one
-//! big `advance(n)` — which the sharded network turns into a single
-//! parallel dispatch rather than `n` sequential ones.
+//! substrate handle. The sharded network
+//! ([`ShardedNetwork`](timego_netsim::ShardedNetwork)) steps its
+//! shards in index order *inside* `advance`, then presents merged
+//! wakes in ascending node-id order and reduced statistics, so from
+//! here it is one more substrate. Nothing in the pump changes:
+//! injections happen between advances (which is exactly the property
+//! the sharded substrate's determinism argument rests on), and idle
+//! clock-jumps hand the substrate one big `advance(n)`.
 //!
 //! ## Concurrency model
 //!

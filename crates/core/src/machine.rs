@@ -226,20 +226,18 @@ pub(crate) struct ReplyEntry {
 /// recorded separately (see [`Machine::cpu`]).
 ///
 /// Any [`Network`](timego_netsim::Network) substrate plugs in — the
-/// parallel sharded one included, since it hides its worker pool behind
-/// `advance`:
+/// sharded one included, since it hides its shards behind global node
+/// ids:
 ///
 /// ```
 /// use timego_am::{CmamConfig, Machine};
 /// use timego_netsim::{NodeId, ShardedConfig, ShardedNetwork};
 /// use timego_ni::share;
 ///
-/// // 16 nodes over a 4-shard substrate stepped by 2 worker threads;
-/// // the protocol layers can't tell it from a flat network (and its
-/// // results don't depend on the thread count).
+/// // 16 nodes over a 4-shard substrate; the protocol layers can't
+/// // tell it from a flat network.
 /// let net = ShardedNetwork::new(16, ShardedConfig {
 ///     shards: 4,
-///     threads: 2,
 ///     ..ShardedConfig::default()
 /// });
 /// let mut m = Machine::new(share(net), 16, CmamConfig::default());

@@ -190,9 +190,8 @@ struct HeldPacket {
 ///
 /// One schedule serves one decision site: each switched subnet owns its
 /// own (per-shard streams in the sharded substrate), and the sharded
-/// front keeps an additional engine-thread-only schedule under global
-/// node ids for the cross-shard boundary path and all restart queries —
-/// schedules are never shared across threads.
+/// front keeps an additional schedule under global node ids for the
+/// cross-shard boundary path and all restart queries.
 #[derive(Debug, Clone)]
 pub struct FaultSchedule {
     cfg: FaultConfig,

@@ -31,10 +31,10 @@
 //!   [`DeliveryScript::AlternateSwap`] reproduces that assumption
 //!   deterministically, which is how the table-regeneration benches run.
 //!
-//! [`ShardedNetwork`] wraps many [`SwitchedNetwork`] shards behind the
-//! same trait and steps them on a worker pool; its results are
-//! bit-identical for every thread count (see the [`sharded`] module
-//! docs for the argument).
+//! [`ShardedNetwork`] partitions the nodes into many [`SwitchedNetwork`]
+//! shards behind the same trait; cross-shard traffic rides bounded
+//! boundary queues. The shard count is a model parameter (see the
+//! [`sharded`] module docs for why the shards stay deterministic).
 //!
 //! ## Example
 //!

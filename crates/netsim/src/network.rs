@@ -131,11 +131,9 @@ impl WakeSet {
 /// A packet-switched network connecting `num_nodes` nodes.
 ///
 /// All the substrates (switched CM-5-like, Compressionless-Routing-like,
-/// scripted, and the parallel sharded front) implement this trait; the
-/// NI and messaging layers are generic over it. Implementations may
-/// step packets on worker threads internally (see
-/// [`sharded`](crate::sharded)), but the trait itself is a
-/// single-threaded surface: one caller injects, receives, and advances.
+/// scripted, and the sharded front) implement this trait; the NI and
+/// messaging layers are generic over it. The trait is a single-threaded
+/// surface: one caller injects, receives, and advances.
 ///
 /// # Example
 ///

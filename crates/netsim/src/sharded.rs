@@ -1,39 +1,28 @@
-//! The parallel sharded substrate: many [`SwitchedNetwork`] shards
-//! stepped by a worker pool behind one [`Network`] front.
+//! The sharded substrate: many [`SwitchedNetwork`] shards behind one
+//! [`Network`] front.
 //!
-//! PR 7's self-profiling showed the readiness-driven scheduler spending
-//! ~86% of its wall time in the single-threaded `substrate_step` phase
-//! at 4096-node permutation. This module attacks that share by
-//! partitioning the node space into contiguous *shards*, each a
+//! The node space is partitioned into contiguous *shards*, each a
 //! self-contained [`SwitchedNetwork`] over its own fat tree with its own
 //! clock, RNG streams, and fault plane. Intra-shard traffic never leaves
 //! its shard; cross-shard traffic rides *bounded boundary queues* with a
-//! fixed crossing latency.
+//! fixed crossing latency. The shard count is a *model* parameter:
+//! changing it changes the simulated machine (smaller subnets, boundary
+//! crossings) and therefore the results — exactly like changing a
+//! topology.
 //!
-//! ## Why any thread count produces bit-identical results
+//! ## Why the shards are deterministic
 //!
-//! Two parameters are deliberately kept apart:
-//!
-//! * **`shards` is a model parameter.** Changing it changes the
-//!   simulated machine (smaller subnets, boundary crossings) and
-//!   therefore the results — exactly like changing a topology.
-//! * **`threads` is an execution resource.** It must never change any
-//!   observable result, and the design makes that structural rather
-//!   than probabilistic: cross-shard packets are injected *only* by the
-//!   (single-threaded) protocol layer between `advance` calls, and a
-//!   packet in flight inside a shard can never emit into another shard.
-//!   An `advance(n)` is therefore embarrassingly parallel — each worker
-//!   steps whole shards to completion with no mid-advance exchanges —
-//!   and the conservative-sync condition ("a shard may advance past `t`
-//!   only once its neighbors' emissions for `t` are published") is
-//!   satisfied trivially: all emissions for the window were published
-//!   before the window began, with `cross_latency >= 1` as lookahead.
-//!
-//! The merge points are all deterministic: wake notifications are
-//! reduced in ascending global node-id order, statistics are absorbed
-//! shard-by-shard in index order, and restarts come from a single
-//! global fault schedule. No result ever depends on which worker
-//! stepped which shard first.
+//! Cross-shard packets are injected *only* by the protocol layer
+//! between `advance` calls, and a packet in flight inside a shard can
+//! never emit into another shard. An `advance(n)` therefore steps each
+//! shard to completion on its own, in index order, with no
+//! mid-advance exchanges: every emission a shard could see during the
+//! window was published before the window began, with
+//! `cross_latency >= 1` as lookahead. Each shard draws from its own
+//! derived RNG stream, and the merge points are fixed: wake
+//! notifications are reduced in ascending global node-id order,
+//! statistics are absorbed shard by shard in index order, and restarts
+//! come from a single global fault schedule.
 //!
 //! With `shards == 1` the front delegates everything to the one subnet
 //! (same seed, same ids, pass-through wake order), making it byte-for-
@@ -46,10 +35,9 @@
 //! ```
 //! use timego_netsim::{Network, NodeId, Packet, ShardedConfig, ShardedNetwork};
 //!
-//! // 16 nodes in 4 shards, stepped by 2 worker threads.
+//! // 16 nodes in 4 shards.
 //! let mut net = ShardedNetwork::new(16, ShardedConfig {
 //!     shards: 4,
-//!     threads: 2,
 //!     ..ShardedConfig::default()
 //! });
 //! // Node 1 and node 9 live in different shards: the packet crosses a
@@ -62,8 +50,6 @@
 //! ```
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 
 use crate::fault::{FaultConfig, FaultSchedule};
 use crate::id::{NodeId, PacketId};
@@ -76,10 +62,6 @@ use crate::time::Time;
 use crate::topology::FatTree;
 
 /// Configuration for [`ShardedNetwork`].
-///
-/// `shards` changes the simulated machine; `threads` only changes how
-/// fast the host steps it (results are identical for every thread
-/// count — see the [module docs](self)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedConfig {
     /// Number of shards the node space is partitioned into (≥ 1). A
@@ -87,12 +69,6 @@ pub struct ShardedConfig {
     /// cross-shard traffic pays `cross_latency` instead of tree hops.
     /// `shards == 1` is exactly a plain [`SwitchedNetwork`].
     pub shards: usize,
-    /// Worker threads stepping shards during [`Network::advance`]
-    /// (≥ 1, clamped to `shards`). A pure *execution* parameter: every
-    /// thread count produces bit-identical results. The calling thread
-    /// participates as one of the workers, so `threads == 1` spawns no
-    /// OS threads at all.
-    pub threads: usize,
     /// Cycles a cross-shard packet spends in its boundary queue before
     /// delivery (≥ 1) — the conservative-sync lookahead. Stands in for
     /// the fat-tree hops the packet no longer takes.
@@ -108,7 +84,6 @@ impl Default for ShardedConfig {
     fn default() -> Self {
         ShardedConfig {
             shards: 4,
-            threads: 1,
             cross_latency: 8,
             switched: SwitchedConfig::default(),
         }
@@ -147,30 +122,7 @@ struct ShardCell {
     wake: WakeSet,
 }
 
-/// Shared state between the front and its workers.
-#[derive(Debug)]
-struct Pool {
-    cells: Vec<Mutex<ShardCell>>,
-    ctl: Mutex<Ctl>,
-    /// Signals workers that a new advance window was dispatched.
-    work: Condvar,
-    /// Signals the front that the last claimed shard finished.
-    done: Condvar,
-}
-
-#[derive(Debug)]
-struct Ctl {
-    /// Next unclaimed shard index of the current window (`== cells.len()`
-    /// when nothing is claimable).
-    next: usize,
-    /// Shards claimed but not yet finished this window.
-    remaining: usize,
-    /// Cycles to step each shard this window.
-    cycles: u64,
-    shutdown: bool,
-}
-
-/// A [`SwitchedNetwork`] sharded across worker threads — see the
+/// A [`SwitchedNetwork`] partitioned into shards — see the
 /// [module docs](self) for the design and the determinism argument.
 ///
 /// Implements [`Network`] over **global** node ids; internally each
@@ -185,18 +137,16 @@ struct Ctl {
 /// on demand.
 pub struct ShardedNetwork {
     nodes: usize,
-    threads: usize,
     cross_latency: u64,
     boundary_capacity: usize,
     shard_of: Vec<usize>,
     base: Vec<usize>,
-    pool: Arc<Pool>,
-    workers: Vec<JoinHandle<()>>,
+    cells: Vec<ShardCell>,
     now: Time,
     next_id: u64,
     pair_seq: HashMap<(NodeId, NodeId), u64>,
     /// The full fault mix under global ids: decides cross-shard packet
-    /// fates and answers all restart queries. Engine-thread only.
+    /// fates and answers all restart queries.
     boundary_faults: FaultSchedule,
     /// Boundary-path injection-side counters (global ids).
     boundary_stats: NetStats,
@@ -248,8 +198,7 @@ fn shard_fault(cfg: &FaultConfig, base: usize, len: usize) -> FaultConfig {
 
 /// Step one shard through `cycles` cycles: advance the subnet, then
 /// deliver every boundary packet that came due, in due-cycle order and
-/// injection order within a cycle. Runs on worker threads; touches
-/// nothing outside the cell.
+/// injection order within a cycle. Touches nothing outside the cell.
 fn step_cell(cell: &mut ShardCell, cycles: u64) {
     for _ in 0..cycles {
         cell.subnet.advance(1);
@@ -287,40 +236,12 @@ fn deliver_boundary(cell: &mut ShardCell, packet: Packet, now: Time) {
     cell.ingress_stats.record_delivery(src, dst, seq, injected, now, depth);
 }
 
-fn worker_loop(pool: &Pool) {
-    let mut ctl = lock(&pool.ctl);
-    loop {
-        if ctl.shutdown {
-            return;
-        }
-        if ctl.next < pool.cells.len() {
-            let i = ctl.next;
-            ctl.next += 1;
-            let cycles = ctl.cycles;
-            drop(ctl);
-            step_cell(&mut lock(&pool.cells[i]), cycles);
-            ctl = lock(&pool.ctl);
-            ctl.remaining -= 1;
-            if ctl.remaining == 0 {
-                pool.done.notify_all();
-            }
-        } else {
-            ctl = pool.work.wait(ctl).expect("pool lock poisoned");
-        }
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().expect("pool lock poisoned")
-}
-
 impl ShardedNetwork {
     /// Build a sharded network over `nodes` nodes.
     ///
     /// Nodes are partitioned into `cfg.shards` contiguous ranges (as
     /// even as possible); each range gets a fat-tree subnet sized for
-    /// it. `cfg.threads - 1` worker threads are spawned (the caller's
-    /// thread is the remaining worker) and joined on drop.
+    /// it.
     ///
     /// # Panics
     ///
@@ -332,7 +253,6 @@ impl ShardedNetwork {
         assert!(cfg.shards <= nodes, "cannot have more shards than nodes");
         assert!(cfg.cross_latency >= 1, "boundary crossing takes at least 1 cycle");
         let shards = cfg.shards;
-        let threads = cfg.threads.max(1).min(shards);
 
         let mut shard_of = Vec::with_capacity(nodes);
         let mut base = Vec::with_capacity(shards);
@@ -352,7 +272,7 @@ impl ShardedNetwork {
                 },
                 ..cfg.switched.clone()
             };
-            cells.push(Mutex::new(ShardCell {
+            cells.push(ShardCell {
                 subnet: SwitchedNetwork::new(fat_tree_for(len), sub_cfg),
                 base: start,
                 ingress: BTreeMap::new(),
@@ -361,33 +281,18 @@ impl ShardedNetwork {
                 brx: (0..len).map(|_| VecDeque::new()).collect(),
                 ingress_stats: NetStats::new(),
                 wake: WakeSet::new(len),
-            }));
+            });
             start += len;
         }
-
-        let pool = Arc::new(Pool {
-            cells,
-            ctl: Mutex::new(Ctl { next: shards, remaining: 0, cycles: 0, shutdown: false }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let workers = (1..threads)
-            .map(|_| {
-                let pool = Arc::clone(&pool);
-                std::thread::spawn(move || worker_loop(&pool))
-            })
-            .collect();
 
         let boundary_faults = FaultSchedule::new(cfg.switched.fault.clone(), cfg.switched.seed);
         let mut net = ShardedNetwork {
             nodes,
-            threads,
             cross_latency: cfg.cross_latency,
             boundary_capacity: cfg.switched.rx_queue_capacity,
             shard_of,
             base,
-            pool,
-            workers,
+            cells,
             now: Time::ZERO,
             next_id: 0,
             pair_seq: HashMap::new(),
@@ -402,12 +307,7 @@ impl ShardedNetwork {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.pool.cells.len()
-    }
-
-    /// Worker threads stepping the shards (including the caller's).
-    pub fn threads(&self) -> usize {
-        self.threads
+        self.cells.len()
     }
 
     /// The shard owning global node `node`.
@@ -421,8 +321,7 @@ impl ShardedNetwork {
     /// empty to keep the per-advance aggregate O(shards).
     pub fn merged_occupancy(&self) -> Vec<NodeOccupancy> {
         let mut tmp = NetStats::new();
-        for (s, cell) in self.pool.cells.iter().enumerate() {
-            let cell = lock(cell);
+        for (s, cell) in self.cells.iter().enumerate() {
             tmp.absorb_per_node_offset(cell.subnet.stats(), self.base[s]);
             // Boundary stats are already under global ids.
             tmp.absorb_per_node_offset(&cell.ingress_stats, 0);
@@ -439,14 +338,12 @@ impl ShardedNetwork {
 
     /// Recompute the aggregate statistics and in-flight count. O(shards)
     /// — each shard contributes its counters, histogram, and in-flight
-    /// totals in index order (a fixed reduction order, so the aggregate
-    /// never depends on worker interleaving).
+    /// totals in index order.
     fn refresh(&mut self) {
         let mut merged = NetStats::new();
         merged.absorb(&self.boundary_stats);
         let mut in_flight = self.boundary_faults.held_count();
-        for cell in &self.pool.cells {
-            let cell = lock(cell);
+        for cell in &self.cells {
             merged.absorb(cell.subnet.stats());
             merged.absorb(&cell.ingress_stats);
             in_flight += cell.subnet.in_flight() + cell.ingress_len;
@@ -467,7 +364,7 @@ impl ShardedNetwork {
         for packet in self.boundary_faults.take_released(now) {
             let (ds, ldst) = self.local(packet.dst());
             let due = now.cycles() + self.cross_latency;
-            let mut cell = lock(&self.pool.cells[ds]);
+            let cell = &mut self.cells[ds];
             cell.ingress.entry(due).or_default().push_back(packet);
             cell.ingress_len += 1;
             cell.pending_to[ldst] += 1;
@@ -489,38 +386,8 @@ impl Network for ShardedNetwork {
             return;
         }
         self.now += cycles;
-        if self.workers.is_empty() {
-            for cell in &self.pool.cells {
-                step_cell(&mut lock(cell), cycles);
-            }
-        } else {
-            {
-                let mut ctl = lock(&self.pool.ctl);
-                ctl.next = 0;
-                ctl.remaining = self.pool.cells.len();
-                ctl.cycles = cycles;
-                self.pool.work.notify_all();
-            }
-            // The calling thread is worker 0: claim shards alongside
-            // the spawned workers, then wait out the stragglers.
-            let mut ctl = lock(&self.pool.ctl);
-            loop {
-                if ctl.next < self.pool.cells.len() {
-                    let i = ctl.next;
-                    ctl.next += 1;
-                    drop(ctl);
-                    step_cell(&mut lock(&self.pool.cells[i]), cycles);
-                    ctl = lock(&self.pool.ctl);
-                    ctl.remaining -= 1;
-                    if ctl.remaining == 0 {
-                        self.pool.done.notify_all();
-                    }
-                } else if ctl.remaining > 0 {
-                    ctl = self.pool.done.wait(ctl).expect("pool lock poisoned");
-                } else {
-                    break;
-                }
-            }
+        for cell in &mut self.cells {
+            step_cell(cell, cycles);
         }
         self.release_boundary_holds();
         self.refresh();
@@ -541,7 +408,7 @@ impl Network for ShardedNetwork {
             // Intra-shard (including loopback): the shard's subnet does
             // everything — routing, faults, stats — over local ids.
             packet.set_endpoints(NodeId::new(lsrc), NodeId::new(ldst));
-            let out = lock(&self.pool.cells[ss]).subnet.try_inject(packet);
+            let out = self.cells[ss].subnet.try_inject(packet);
             self.refresh();
             return out;
         }
@@ -571,43 +438,40 @@ impl Network for ShardedNetwork {
             return Ok(());
         }
 
-        {
-            let mut cell = lock(&self.pool.cells[ds]);
-            if cell.pending_to[ldst] >= self.boundary_capacity {
-                drop(cell);
-                self.boundary_stats.backpressure += 1;
-                self.refresh();
-                return Err(InjectError::Backpressure);
-            }
+        let cell = &mut self.cells[ds];
+        if cell.pending_to[ldst] >= self.boundary_capacity {
+            self.boundary_stats.backpressure += 1;
+            self.refresh();
+            return Err(InjectError::Backpressure);
+        }
 
-            let seq = self.pair_seq.entry((src, dst)).or_insert(0);
-            packet.stamp(PacketId::new(self.next_id), *seq, self.now);
-            self.next_id += 1;
-            *seq += 1;
-            let duplicate = faults.duplicate.then(|| packet.clone());
-            if faults.corrupt {
-                packet.corrupt();
-            }
-            let due = self.now.cycles() + self.cross_latency + faults.extra_delay;
-            cell.ingress.entry(due).or_default().push_back(packet);
-            cell.ingress_len += 1;
-            cell.pending_to[ldst] += 1;
-            self.boundary_stats.injected += 1;
+        let seq = self.pair_seq.entry((src, dst)).or_insert(0);
+        packet.stamp(PacketId::new(self.next_id), *seq, self.now);
+        self.next_id += 1;
+        *seq += 1;
+        let duplicate = faults.duplicate.then(|| packet.clone());
+        if faults.corrupt {
+            packet.corrupt();
+        }
+        let due = self.now.cycles() + self.cross_latency + faults.extra_delay;
+        cell.ingress.entry(due).or_default().push_back(packet);
+        cell.ingress_len += 1;
+        cell.pending_to[ldst] += 1;
+        self.boundary_stats.injected += 1;
 
-            // Link-level retry duplication: a second, identical copy
-            // with its own pair sequence, if the boundary has room.
-            if let Some(mut dup) = duplicate {
-                if cell.pending_to[ldst] < self.boundary_capacity {
-                    let seq = self.pair_seq.get_mut(&(src, dst)).expect("pair just stamped");
-                    dup.stamp(PacketId::new(self.next_id), *seq, self.now);
-                    self.next_id += 1;
-                    *seq += 1;
-                    let dup_due = self.now.cycles() + self.cross_latency;
-                    cell.ingress.entry(dup_due).or_default().push_back(dup);
-                    cell.ingress_len += 1;
-                    cell.pending_to[ldst] += 1;
-                    self.boundary_stats.duplicated += 1;
-                }
+        // Link-level retry duplication: a second, identical copy
+        // with its own pair sequence, if the boundary has room.
+        if let Some(mut dup) = duplicate {
+            if cell.pending_to[ldst] < self.boundary_capacity {
+                let seq = self.pair_seq.get_mut(&(src, dst)).expect("pair just stamped");
+                dup.stamp(PacketId::new(self.next_id), *seq, self.now);
+                self.next_id += 1;
+                *seq += 1;
+                let dup_due = self.now.cycles() + self.cross_latency;
+                cell.ingress.entry(dup_due).or_default().push_back(dup);
+                cell.ingress_len += 1;
+                cell.pending_to[ldst] += 1;
+                self.boundary_stats.duplicated += 1;
             }
         }
 
@@ -624,7 +488,7 @@ impl Network for ShardedNetwork {
         }
         let (s, local) = self.local(node);
         let base = self.base[s];
-        let mut cell = lock(&self.pool.cells[s]);
+        let cell = &mut self.cells[s];
         // Boundary queue first — a fixed priority, so what software
         // observes never depends on shard timing.
         if let Some(p) = cell.brx[local].pop_front() {
@@ -644,7 +508,7 @@ impl Network for ShardedNetwork {
         }
         let (s, local) = self.local(node);
         let base = self.base[s];
-        let mut cell = lock(&self.pool.cells[s]);
+        let cell = &mut self.cells[s];
         if let Some(p) = cell.brx[local].front() {
             return Some(RxMeta::of(p));
         }
@@ -659,7 +523,7 @@ impl Network for ShardedNetwork {
             return 0;
         }
         let (s, local) = self.local(node);
-        let cell = lock(&self.pool.cells[s]);
+        let cell = &self.cells[s];
         cell.brx[local].len() + cell.subnet.rx_pending(NodeId::new(local))
     }
 
@@ -688,14 +552,13 @@ impl Network for ShardedNetwork {
     }
 
     fn take_delivered(&mut self) -> Vec<NodeId> {
-        if self.pool.cells.len() == 1 {
+        if self.cells.len() == 1 {
             // Exact pass-through (boundary wake is necessarily empty):
             // the unsharded substrate's wake order, byte for byte.
-            return lock(&self.pool.cells[0]).subnet.take_delivered();
+            return self.cells[0].subnet.take_delivered();
         }
         let mut nodes = Vec::new();
-        for (s, cell) in self.pool.cells.iter().enumerate() {
-            let mut cell = lock(cell);
+        for (s, cell) in self.cells.iter_mut().enumerate() {
             let base = self.base[s];
             for n in cell.subnet.take_delivered() {
                 nodes.push(NodeId::new(base + n.index()));
@@ -705,26 +568,10 @@ impl Network for ShardedNetwork {
             }
         }
         // Canonical merge order: ascending global node id, independent
-        // of shard iteration and worker interleaving alike.
+        // of shard iteration order.
         nodes.sort_unstable_by_key(|n| n.index());
         nodes.dedup();
         nodes
-    }
-}
-
-impl Drop for ShardedNetwork {
-    fn drop(&mut self) {
-        if self.workers.is_empty() {
-            return;
-        }
-        match self.pool.ctl.lock() {
-            Ok(mut ctl) => ctl.shutdown = true,
-            Err(poisoned) => poisoned.into_inner().shutdown = true,
-        }
-        self.pool.work.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
     }
 }
 
@@ -732,8 +579,7 @@ impl std::fmt::Debug for ShardedNetwork {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedNetwork")
             .field("nodes", &self.nodes)
-            .field("shards", &self.pool.cells.len())
-            .field("threads", &self.threads)
+            .field("shards", &self.cells.len())
             .field("now", &self.now)
             .field("in_flight", &self.in_flight_cache)
             .finish_non_exhaustive()
@@ -754,10 +600,9 @@ mod tests {
         Packet::new(n(src), n(dst), 1, seq, vec![seq; 4])
     }
 
-    fn cfg(shards: usize, threads: usize) -> ShardedConfig {
+    fn cfg(shards: usize) -> ShardedConfig {
         ShardedConfig {
             shards,
-            threads,
             cross_latency: 4,
             switched: SwitchedConfig {
                 rx_queue_capacity: 64,
@@ -770,7 +615,7 @@ mod tests {
 
     #[test]
     fn cross_shard_traffic_delivers_with_global_ids() {
-        let mut net = ShardedNetwork::new(16, cfg(4, 1));
+        let mut net = ShardedNetwork::new(16, cfg(4));
         assert_eq!(net.shard_of(n(1)), 0);
         assert_eq!(net.shard_of(n(9)), 2);
         net.try_inject(pkt(1, 9, 5)).unwrap();
@@ -786,7 +631,7 @@ mod tests {
 
     #[test]
     fn intra_shard_traffic_remaps_both_ways() {
-        let mut net = ShardedNetwork::new(16, cfg(4, 1));
+        let mut net = ShardedNetwork::new(16, cfg(4));
         // 12 and 15 both live in shard 3 (locals 0 and 3).
         net.try_inject(pkt(12, 15, 9)).unwrap();
         assert!(net.drain(1_000));
@@ -814,7 +659,7 @@ mod tests {
         let mut flat = SwitchedNetwork::new(fat_tree_for(16), template.clone());
         let mut sharded = ShardedNetwork::new(
             16,
-            ShardedConfig { shards: 1, threads: 1, cross_latency: 4, switched: template },
+            ShardedConfig { shards: 1, cross_latency: 4, switched: template },
         );
         let mut flat_rx = Vec::new();
         let mut shard_rx = Vec::new();
@@ -848,78 +693,11 @@ mod tests {
     }
 
     #[test]
-    fn results_are_invariant_across_thread_counts() {
-        let run = |threads: usize| {
-            let mut net = ShardedNetwork::new(
-                16,
-                ShardedConfig {
-                    switched: SwitchedConfig {
-                        fault: FaultConfig {
-                            duplicate_prob: 0.08,
-                            delay_jitter: 5,
-                            reorder_prob: 0.1,
-                            ..FaultConfig::default()
-                        },
-                        ..cfg(4, threads).switched
-                    },
-                    ..cfg(4, threads)
-                },
-            );
-            let mut rx = Vec::new();
-            let mut wakes = Vec::new();
-            for s in 0..200u32 {
-                // A mix of intra-shard and cross-shard pairs.
-                let src = (s as usize) % 16;
-                let dst = (src + 1 + (s as usize) % 11) % 16;
-                let _ = net.try_inject(pkt(src, dst, s));
-                net.advance(1 + (s as u64) % 3);
-                wakes.push(net.take_delivered());
-                for i in 0..16 {
-                    while let Some(p) = net.try_receive(n(i)) {
-                        rx.push((i, p.src().index(), p.header()));
-                    }
-                }
-            }
-            net.drain(10_000);
-            let st = net.stats().clone();
-            (
-                rx,
-                wakes,
-                st.injected,
-                st.delivered,
-                st.duplicated,
-                st.reordered,
-                st.latency.count(),
-                net.now().cycles(),
-            )
-        };
-        let t1 = run(1);
-        assert_eq!(t1, run(2), "2 threads must match 1 thread bit for bit");
-        assert_eq!(t1, run(4), "4 threads must match 1 thread bit for bit");
-    }
-
-    #[test]
-    fn wake_merge_is_in_ascending_node_order() {
-        let mut net = ShardedNetwork::new(16, cfg(4, 2));
-        // Cross-shard injections toward descending destinations.
-        for (i, dst) in [15usize, 2, 9, 6].into_iter().enumerate() {
-            net.try_inject(pkt((dst + 5) % 16, dst, i as u32)).unwrap();
-        }
-        net.drain(1_000);
-        let wakes = net.take_delivered();
-        assert!(!wakes.is_empty());
-        let mut sorted = wakes.clone();
-        sorted.sort_unstable_by_key(|n| n.index());
-        assert_eq!(wakes, sorted, "merged wakes must come out in node-id order");
-    }
-
-    #[test]
     fn boundary_queue_backpressures_when_full() {
         let mut net = ShardedNetwork::new(
             8,
             ShardedConfig {
                 shards: 2,
-                threads: 1,
                 cross_latency: 2,
                 switched: SwitchedConfig { rx_queue_capacity: 3, ..SwitchedConfig::default() },
             },
@@ -949,9 +727,9 @@ mod tests {
                         crashes: vec![CrashWindow { node: n(9), start: 0, end: 50 }],
                         ..FaultConfig::default()
                     },
-                    ..cfg(4, 1).switched
+                    ..cfg(4).switched
                 },
-                ..cfg(4, 1)
+                ..cfg(4)
             },
         );
         net.try_inject(pkt(1, 9, 0)).unwrap(); // crossing into the dead node
@@ -968,7 +746,7 @@ mod tests {
 
     #[test]
     fn merged_occupancy_reduces_over_shards_and_boundary() {
-        let mut net = ShardedNetwork::new(16, cfg(4, 1));
+        let mut net = ShardedNetwork::new(16, cfg(4));
         net.try_inject(pkt(1, 2, 0)).unwrap(); // intra-shard
         net.try_inject(pkt(1, 9, 1)).unwrap(); // cross-shard
         assert!(net.drain(1_000));
@@ -983,7 +761,7 @@ mod tests {
 
     #[test]
     fn uneven_partitions_cover_every_node() {
-        let mut net = ShardedNetwork::new(10, ShardedConfig { shards: 3, ..cfg(3, 1) });
+        let mut net = ShardedNetwork::new(10, ShardedConfig { shards: 3, ..cfg(3) });
         for dst in 0..10 {
             net.try_inject(pkt((dst + 3) % 10, dst, dst as u32)).unwrap();
         }

@@ -162,15 +162,18 @@ pub fn cm5_chaos(nodes: usize, fault: FaultConfig, seed: u64) -> SwitchedNetwork
 
 /// The sharded counterpart of [`cm5_deterministic`]: the same
 /// deterministic-routing subnet configuration partitioned into `shards`
-/// fat-tree shards and stepped by `threads` workers. Results depend on
-/// `shards` (a model parameter) but never on `threads`; with
-/// `shards == 1` it is byte-identical to [`cm5_deterministic`].
-pub fn cm5_sharded(nodes: usize, shards: usize, threads: usize, seed: u64) -> ShardedNetwork {
+/// fat-tree shards. `shards` is a model parameter; with `shards == 1` it
+/// is byte-identical to [`cm5_deterministic`].
+///
+/// `_threads` is ignored: the substrate is single-threaded, so there is
+/// nothing for it to set. It stays only because the frozen benchmark
+/// harness in `perfbench/` calls this function with it, and goes with
+/// the next change to that harness. Pass `1`.
+pub fn cm5_sharded(nodes: usize, shards: usize, _threads: usize, seed: u64) -> ShardedNetwork {
     ShardedNetwork::new(
         nodes,
         ShardedConfig {
             shards,
-            threads,
             switched: SwitchedConfig {
                 strategy: RouteStrategy::Deterministic,
                 seed,
@@ -188,12 +191,11 @@ pub fn cm5_sharded(nodes: usize, shards: usize, threads: usize, seed: u64) -> Sh
 /// wedges reply injection under an admission window wider than it,
 /// while these depths let congestion express as queueing delay and
 /// admission-controlled shedding instead.
-pub fn cm5_sharded_serving(nodes: usize, shards: usize, threads: usize, seed: u64) -> ShardedNetwork {
+pub fn cm5_sharded_serving(nodes: usize, shards: usize, seed: u64) -> ShardedNetwork {
     ShardedNetwork::new(
         nodes,
         ShardedConfig {
             shards,
-            threads,
             switched: SwitchedConfig {
                 strategy: RouteStrategy::Deterministic,
                 rx_queue_capacity: 64,
@@ -207,14 +209,18 @@ pub fn cm5_sharded_serving(nodes: usize, shards: usize, threads: usize, seed: u6
 }
 
 /// The sharded counterpart of [`cm5_chaos`]: adaptive subnets with the
-/// full fault mix, partitioned into `shards` shards stepped by
-/// `threads` workers. Crash/outage windows land on the shard owning the
-/// node; probabilistic faults draw from per-shard streams plus a
-/// boundary stream — so results depend on `shards` but not `threads`.
+/// full fault mix, partitioned into `shards` shards. Crash/outage
+/// windows land on the shard owning the node; probabilistic faults draw
+/// from per-shard streams plus a boundary stream.
+///
+/// `_threads` is ignored: the substrate is single-threaded, so there is
+/// nothing for it to set. It stays only because the frozen benchmark
+/// harness in `perfbench/` calls this function with it, and goes with
+/// the next change to that harness. Pass `1`.
 pub fn cm5_sharded_chaos(
     nodes: usize,
     shards: usize,
-    threads: usize,
+    _threads: usize,
     fault: FaultConfig,
     seed: u64,
 ) -> ShardedNetwork {
@@ -222,7 +228,6 @@ pub fn cm5_sharded_chaos(
         nodes,
         ShardedConfig {
             shards,
-            threads,
             switched: SwitchedConfig {
                 strategy: RouteStrategy::Adaptive { candidates: 4 },
                 rx_queue_capacity: 64,

@@ -62,9 +62,10 @@
 //!   [`CrashWindow`](timego_netsim::CrashWindow)s runs every admitted
 //!   request's handler exactly once, hedge legs included (reply-cache
 //!   dedup within a server, idempotency ledger across servers).
-//! * **Thread invariance** — on [`ShardedNetwork`] the whole outcome
-//!   (bills, latencies, shed counts, ejections, hedge wins) is
-//!   identical at every worker-thread count.
+//! * **Determinism** — on [`ShardedNetwork`] the whole outcome (bills,
+//!   latencies, shed counts, ejections, hedge wins) is a function of
+//!   the spec, the substrate parameters and the seed alone;
+//!   [`ServiceOutcome::signature`] folds it into one pinnable value.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -660,7 +661,7 @@ impl ServiceOutcome {
     /// A compact determinism signature: every count, bill total, and
     /// histogram moment folded into one value. Two runs of the same
     /// spec on the same substrate parameters must produce equal
-    /// signatures at every worker-thread count.
+    /// signatures.
     #[must_use]
     pub fn signature(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -1242,15 +1243,14 @@ pub fn run_service(m: &mut Machine, spec: &ServiceSpec) -> ServiceOutcome {
     }
 }
 
-/// A serving machine on the parallel sharded substrate: `nodes`
-/// endpoints on deterministic-routing fat-tree shards (the PR 8 server
-/// pool backbone) with server-grade queue depths — many replies
-/// converge on few gateways, so the substrate carries 64-deep rx
-/// queues (see [`scenarios::cm5_sharded_serving`]). Results depend on
-/// `shards`, never on `threads`.
+/// A serving machine on the sharded substrate: `nodes` endpoints on
+/// deterministic-routing fat-tree shards with server-grade queue
+/// depths — many replies converge on few gateways, so the substrate
+/// carries 64-deep rx queues (see [`scenarios::cm5_sharded_serving`]).
+/// `shards` is a model parameter: results depend on it.
 #[must_use]
-pub fn serving_machine(nodes: usize, shards: usize, threads: usize, seed: u64) -> Machine {
-    let net: ShardedNetwork = scenarios::cm5_sharded_serving(nodes, shards, threads, seed);
+pub fn serving_machine(nodes: usize, shards: usize, seed: u64) -> Machine {
+    let net: ShardedNetwork = scenarios::cm5_sharded_serving(nodes, shards, seed);
     Machine::new(timego_ni::share(net), nodes, CmamConfig::default())
 }
 
@@ -1261,11 +1261,10 @@ pub fn serving_machine(nodes: usize, shards: usize, threads: usize, seed: u64) -
 pub fn serving_machine_chaos(
     nodes: usize,
     shards: usize,
-    threads: usize,
     fault: FaultConfig,
     seed: u64,
 ) -> Machine {
-    let net = scenarios::cm5_sharded_chaos(nodes, shards, threads, fault, seed);
+    let net = scenarios::cm5_sharded_chaos(nodes, shards, 1, fault, seed);
     Machine::new(timego_ni::share(net), nodes, CmamConfig::default())
 }
 
@@ -1550,7 +1549,7 @@ mod tests {
 
     #[test]
     fn small_service_run_conserves_and_completes() {
-        let mut m = serving_machine(64, 2, 1, 11);
+        let mut m = serving_machine(64, 2, 11);
         let spec = ServiceSpec {
             gateways: vec![n(0), n(1)],
             servers: servers(8, 4),
@@ -1584,7 +1583,7 @@ mod tests {
         // Detector + hedging + breaker armed on a healthy pool: probes
         // cycle and bill FaultTol, nothing is ejected, the breaker
         // never trips, and conservation holds with hedge legs deduped.
-        let mut m = serving_machine(64, 2, 1, 17);
+        let mut m = serving_machine(64, 2, 17);
         let spec = ServiceSpec {
             gateways: vec![n(0), n(1)],
             servers: servers(8, 4),
@@ -1619,7 +1618,7 @@ mod tests {
 
     #[test]
     fn migration_mid_run_reshapes_the_pool_and_still_conserves() {
-        let mut m = serving_machine(64, 2, 1, 13);
+        let mut m = serving_machine(64, 2, 13);
         let spec = ServiceSpec {
             gateways: vec![n(0)],
             servers: servers(8, 4),
